@@ -42,16 +42,10 @@ small — the parity floor guards against the transport ever *costing*
 throughput, skipped on single-CPU hosts where scheduling noise
 swamps it).
 
-The kernel backends get the same two-level treatment: the batched
-packed-word kernels are swept per available backend
-(``benchmarks/bench_micro_primitives.measure_kernel_backends``, which
-fails fatally if any backend is not bit-identical to the numpy
-reference), absolute rows/sec are gated against the baseline's
-``kernels`` section, and the hardware-independent claim — the tiled
-backend reaching >= 1.5x the numpy reference on large batches — is
-enforced as a ratio wherever >= 2 CPUs exist (on a single CPU the
-tiled backend deliberately falls through to numpy, so the gate is
-skipped, not failed).
+The batched packed-word kernels
+(``benchmarks/bench_micro_primitives.measure_kernels``) have their
+absolute rows/sec per kernel gated against the baseline's ``kernels``
+section.
 
 The scenario suite closes the accuracy side: the smoke gate grid
 ({bim, fgsm} x {ptolemy_fwab, ep} x {none, gaussian_noise@3}) runs
@@ -65,7 +59,9 @@ scores-digest drift check (exact bit-equality of the score stream
 against the recording machine) runs only on full gates, since digests
 legitimately differ across BLAS builds.  Scenarios absent from the
 baseline are skipped, not failed, so the gate grid can grow before
-the baseline is re-recorded.
+the baseline is re-recorded — but a baseline ``suite`` section that
+matches none of the current scenario ids fails the gate, since that
+means the ids changed and every accuracy gate would silently skip.
 
 Usage::
 
@@ -129,6 +125,8 @@ SUITE_GATE_GRID = (
 )
 #: Metrics gated per suite scenario (absolute floors).
 SUITE_GATED_METRICS = ("auc", "tpr_at_fpr")
+#: Batched kernels whose absolute rows/sec are gated.
+KERNEL_NAMES = ("containment", "per_tap", "popcount")
 
 
 def run_bench() -> dict:
@@ -242,17 +240,10 @@ def run_transport_bench() -> dict:
 
 
 def run_kernel_bench() -> dict:
-    """The batched-kernel backend sweep (large synthetic matrices so
-    the tiled backend's tiling genuinely engages).  Bit-identity across
-    backends is checked inside the measurement — a mismatch raises
-    before any number is trusted."""
-    from bench_micro_primitives import measure_kernel_backends
+    """The batched packed-word kernels over a large synthetic matrix."""
+    from bench_micro_primitives import measure_kernels
 
-    try:
-        report = measure_kernel_backends()
-    except RuntimeError as exc:
-        raise SystemExit(f"FATAL: {exc}") from exc
-    return report
+    return measure_kernels()
 
 
 def run_http_bench() -> dict:
@@ -386,21 +377,12 @@ def main(argv=None) -> int:
     else:
         print("  shared memory unavailable: queue-only measurement")
 
-    print("perf gate: measuring kernel backend sweep (large packed "
-          "matrices, per available backend)...")
+    print("perf gate: measuring batched kernels (large packed "
+          "matrix)...")
     current_kernels = run_kernel_bench()
-    for name, row in current_kernels["backends"].items():
-        effective = row["effective"]
-        suffix = "" if effective == name else f" (-> {effective})"
-        print(f"  {name:6s}{suffix}: "
-              f"{row['containment']['rows_per_sec'] / 1e6:6.1f}M "
-              f"containment rows/s, "
-              f"{row['per_tap']['rows_per_sec'] / 1e6:6.1f}M per-tap "
-              f"rows/s")
-    if current_kernels.get("tiled_over_numpy") is not None:
-        print(f"  tiled over numpy: "
-              f"{current_kernels['tiled_over_numpy']:.2f}x on "
-              f"{current_kernels['cpu_count']} CPU(s)")
+    for name in KERNEL_NAMES:
+        print(f"  {name:11s}: "
+              f"{current_kernels[name]['rows_per_sec'] / 1e6:6.1f}M rows/s")
 
     print(f"perf gate: measuring HTTP closed-loop serving "
           f"({HTTP_TRAFFIC} samples, fixed vs adaptive)...")
@@ -571,65 +553,30 @@ def main(argv=None) -> int:
                     f"{cpus} CPUs"
                 )
 
-    # -- kernel backend envelope ----------------------------------------
-    from bench_micro_primitives import TILED_SPEEDUP_FLOOR
-
+    # -- batched kernels ------------------------------------------------
     kernel_baseline = baseline_file.get("kernels")
     if kernel_baseline is None:
         print("  (baseline has no kernels section; run --update to "
               "record one — absolute kernel gates skipped)")
     else:
-        for name, row in current_kernels["backends"].items():
-            old_row = kernel_baseline.get("backends", {}).get(name)
-            for kernel_name in ("containment", "per_tap", "popcount"):
-                new = row[kernel_name]["rows_per_sec"]
-                if old_row is None or kernel_name not in old_row:
-                    print(f"  kernel {name}/{kernel_name}: "
-                          f"{new / 1e6:6.1f}M rows/s (no baseline row; "
-                          f"gate skipped)")
-                    continue
-                old = old_row[kernel_name]["rows_per_sec"]
-                floor = old * (1.0 - args.tolerance)
-                if args.ratio_only:
-                    print(f"  kernel {name}/{kernel_name}: "
-                          f"{new / 1e6:6.1f}M vs baseline "
-                          f"{old / 1e6:6.1f}M rows/s (absolute gate "
-                          f"skipped: --ratio-only)")
-                    continue
-                status = "ok" if new >= floor else "REGRESSION"
-                print(f"  kernel {name}/{kernel_name}: "
-                      f"{new / 1e6:6.1f}M vs baseline {old / 1e6:6.1f}M "
-                      f"rows/s (floor {floor / 1e6:6.1f}M) {status}")
-                if new < floor:
-                    failures.append(
-                        f"kernel {name}/{kernel_name}: {new:.0f} rows/s "
-                        f"< {floor:.0f} ({args.tolerance:.0%} below "
-                        f"{old:.0f})"
-                    )
-    # The backend claim itself is ratio-only by construction — tiled
-    # must beat the numpy reference on large batches wherever the
-    # hardware can possibly deliver it (>= 2 CPUs; on a single CPU the
-    # tiled backend deliberately falls through to numpy, so the ratio
-    # is parity by design and the gate is skipped).
-    tiled_ratio = current_kernels.get("tiled_over_numpy")
-    cpus = current_kernels["cpu_count"]
-    if tiled_ratio is None:
-        print("  tiled-over-numpy gate skipped: sweep lacks a "
-              "numpy+tiled pair")
-    elif cpus < 2:
-        print(f"  tiled-over-numpy gate skipped: {cpus} CPU(s) — the "
-              f"tiled backend cannot parallelise here")
-    else:
-        status = ("ok" if tiled_ratio >= TILED_SPEEDUP_FLOOR
-                  else "REGRESSION")
-        print(f"  tiled over numpy (large-batch containment): "
-              f"{tiled_ratio:.2f}x vs envelope floor "
-              f"{TILED_SPEEDUP_FLOOR:.2f}x {status}")
-        if tiled_ratio < TILED_SPEEDUP_FLOOR:
-            failures.append(
-                f"tiled backend {tiled_ratio:.2f}x over numpy < envelope "
-                f"floor {TILED_SPEEDUP_FLOOR:.2f}x on {cpus} CPUs"
-            )
+        for kernel_name in KERNEL_NAMES:
+            new = current_kernels[kernel_name]["rows_per_sec"]
+            old = kernel_baseline[kernel_name]["rows_per_sec"]
+            floor = old * (1.0 - args.tolerance)
+            if args.ratio_only:
+                print(f"  kernel {kernel_name}: {new / 1e6:6.1f}M vs "
+                      f"baseline {old / 1e6:6.1f}M rows/s (absolute gate "
+                      f"skipped: --ratio-only)")
+                continue
+            status = "ok" if new >= floor else "REGRESSION"
+            print(f"  kernel {kernel_name}: {new / 1e6:6.1f}M vs baseline "
+                  f"{old / 1e6:6.1f}M rows/s (floor {floor / 1e6:6.1f}M) "
+                  f"{status}")
+            if new < floor:
+                failures.append(
+                    f"kernel {kernel_name}: {new:.0f} rows/s < "
+                    f"{floor:.0f} ({args.tolerance:.0%} below {old:.0f})"
+                )
 
     # -- HTTP serving envelope ------------------------------------------
     from bench_http_serving import ADAPTIVE_THROUGHPUT_FLOOR
@@ -683,6 +630,13 @@ def main(argv=None) -> int:
     if suite_baseline is None:
         print("  (baseline has no suite section; run --update to record "
               "one — suite accuracy gates skipped)")
+    elif not set(suite_baseline) & set(current_suite):
+        print("  suite: no baseline row matches any current scenario id")
+        failures.append(
+            f"suite baseline matches none of the {len(current_suite)} "
+            "current scenario ids; re-key or re-record "
+            "BENCH_baseline.json's suite section"
+        )
     else:
         for scenario_id, row in current_suite.items():
             old_row = suite_baseline.get(scenario_id)

@@ -1,8 +1,8 @@
 """Core machinery for the repo-specific static analyzer.
 
 The analyzer enforces the invariants the serving stack's bit-identity
-guarantee rests on (shm lifecycle, lock discipline, backend dispatch,
-error-schema conformance) as AST checks with stable rule codes.  It is
+guarantee rests on (shm lifecycle, lock discipline, error-schema
+conformance) as AST checks with stable rule codes.  It is
 stdlib-only on purpose: like ``scripts/lint.py`` and
 ``scripts/check_report_schema.py`` it must run offline, in CI, and in
 any contributor checkout without installing anything.

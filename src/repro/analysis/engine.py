@@ -33,7 +33,7 @@ from .base import (
 )
 
 # Importing the rule modules registers their checkers.
-from . import api, concurrency, dispatch, hygiene  # noqa: F401
+from . import api, concurrency, hygiene  # noqa: F401
 
 BASELINE_VERSION = 1
 DEFAULT_BASELINE = "ANALYSIS_baseline.json"
@@ -319,8 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro analyze",
         description=(
             "Repo-specific static analyzer: enforces the runtime's "
-            "concurrency (RPR1xx), dispatch (RPR2xx), API-contract "
-            "(RPR3xx) and hygiene (RPR4xx) invariants. Stdlib-only."
+            "concurrency (RPR1xx), API-contract (RPR3xx) and "
+            "hygiene (RPR4xx) invariants. Stdlib-only."
         ),
     )
     add_arguments(parser)

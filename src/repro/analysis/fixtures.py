@@ -4,7 +4,7 @@ The sources live here as strings (not files on disk) so the seeded
 violations never show up in real analyzer runs, pytest collection, or
 ruff.  Each fixture carries the synthetic repo-relative path the
 analyzer should pretend the source lives at — path-scoped rules
-(RPR2xx/RPR3xx/RPR4xx) only fire when the path matches their scope.
+(RPR3xx/RPR4xx) only fire when the path matches their scope.
 
 ``--self-test`` must accept every clean fixture (zero findings for the
 fixture's rule) and reject every violating one (at least one finding
@@ -151,50 +151,6 @@ def _worker_loop(inbox, outbox):
         batches += 1
         outbox.put(item)
     return batches
-''',
-    ),
-    # -- RPR201: backend bypass ----------------------------------------
-    Fixture(
-        "RPR201", "violation", "src/repro/isa/_fx_kernel.py",
-        '''\
-import numpy as np
-
-
-def tile_popcount(words):
-    return np.bitwise_count(words).sum(axis=1)
-''',
-    ),
-    Fixture(
-        "RPR201", "clean", "src/repro/isa/_fx_kernel.py",
-        '''\
-def tile_popcount(words, kernels=None):
-    if kernels is None:
-        from repro.core.backends import get_backend
-
-        kernels = get_backend("numpy")
-    return kernels.batch_popcount(words)
-''',
-    ),
-    # -- RPR202: reference-kernel import -------------------------------
-    Fixture(
-        "RPR202", "violation", "src/repro/suite/_fx_score.py",
-        '''\
-from repro.core.bitmask import batch_and_popcount
-
-
-def overlap(a, b):
-    return batch_and_popcount(a, b)
-''',
-    ),
-    Fixture(
-        "RPR202", "clean", "src/repro/suite/_fx_score.py",
-        '''\
-from repro.core.backends import resolve_backend
-
-
-def overlap(a, b, backend=None):
-    kernels = resolve_backend(backend)
-    return kernels.batch_and_popcount(a, b)
 ''',
     ),
     # -- RPR301: non-2xx outside send_error_json -----------------------

@@ -20,8 +20,8 @@ Commands
                 ``POST /v1/models``)
 ``explain``     saliency + per-layer divergence for a benign/attacked pair
 ``defend``      adversarial retraining + re-profiled Ptolemy (Sec. VIII)
-``suite``       run an {attack x defense x corruption x workload x
-                backend} scenario grid and write one versioned JSON
+``suite``       run an {attack x defense x corruption x workload}
+                scenario grid and write one versioned JSON
                 report per cell plus a combined results_summary.md
 """
 
@@ -51,19 +51,14 @@ def _add_pool_args(parser, *, workers: int, models: bool = False) -> None:
 
     ``serve``, ``throughput``, and ``suite`` all front the same
     :class:`~repro.runtime.ShardedDetectionService`; this is the one
-    place its vocabulary (``--workers``/``--backend``/``--pin``/
-    ``--transport``/``--scheduler``, plus the repeatable ``--model``
+    place its vocabulary (``--workers``/``--pin``/``--transport``/
+    ``--scheduler``, plus the repeatable ``--model``
     for multi-model commands) is defined, so the front-ends cannot
     drift apart.
     """
     parser.add_argument("--workers", type=int, default=workers,
                         help="worker processes in the sharded pool "
                         f"(default {workers})")
-    parser.add_argument("--backend", default=None,
-                        choices=["numpy", "tiled", "numba"],
-                        help="kernel backend for the hot detection "
-                        "primitives (default: REPRO_KERNEL_BACKEND env, "
-                        "then the detector config, then numpy)")
     parser.add_argument("--pin", action="store_true",
                         help="pin each worker to a disjoint CPU set "
                         "(os.sched_setaffinity; no-op where unsupported)")
@@ -422,7 +417,6 @@ def cmd_throughput(args) -> None:
                 scheduler=args.scheduler,
                 transport=args.transport,
                 pin_workers=args.pin,
-                backend=args.backend,
             )[args.workers])
             for batch_size in args.batch_sizes
         ]
@@ -433,7 +427,6 @@ def cmd_throughput(args) -> None:
     else:
         reports = list(measure_throughput(
             detector, traffic, batch_sizes=args.batch_sizes,
-            backend=args.backend,
         ).items())
         title = (
             f"{args.variant} on {args.scenario}: engine throughput "
@@ -473,7 +466,7 @@ def _throughput_models(args, workbench, detector, traffic) -> None:
             state=state, model_factory=workbench.model_factory,
             num_workers=workers, batch_size=batch_size,
             scheduler=args.scheduler, transport=args.transport,
-            pin_workers=args.pin, backend=args.backend,
+            pin_workers=args.pin,
         )
         for name, model_state, model_threshold in extra:
             service.load_model(
@@ -511,7 +504,6 @@ def _serve_http(args, workbench, threshold, extra_models=()) -> None:
         batch_size=args.batch_size, scheduler=args.scheduler,
         threshold=threshold, slo_ms=args.slo_ms,
         transport=args.transport, pin_workers=args.pin,
-        backend=args.backend,
     )
     for name, state, model_threshold in extra_models:
         service.load_model(
@@ -541,6 +533,14 @@ def _serve_http(args, workbench, threshold, extra_models=()) -> None:
         max_inflight=args.max_inflight, model_loader=model_loader,
     )
     server.start()
+    # Install explicit handlers before the banner: whoever reads the
+    # banner may signal at once.  A background child of a
+    # non-interactive shell inherits SIGINT=SIG_IGN (so Python would
+    # never raise KeyboardInterrupt), and SIGTERM would otherwise kill
+    # the parent without the drain, orphaning the workers.
+    shutdown = threading.Event()
+    for signum in (signal.SIGINT, signal.SIGTERM):
+        signal.signal(signum, lambda *_: shutdown.set())
     slo = (f"adaptive batching, SLO {args.slo_ms:.0f} ms/batch"
            if args.slo_ms else f"fixed batch {args.batch_size}")
     models = ", ".join(service.registry.names())
@@ -554,12 +554,6 @@ def _serve_http(args, workbench, threshold, extra_models=()) -> None:
     print(f"  GET  {server.url}/v1/stats")
     print(f"  GET  {server.url}/healthz")
     print("Ctrl-C (SIGINT/SIGTERM) to drain and stop.", flush=True)
-    # Install explicit handlers: a background child of a non-interactive
-    # shell inherits SIGINT=SIG_IGN (so Python would never raise
-    # KeyboardInterrupt), and SIGTERM would otherwise skip the drain.
-    shutdown = threading.Event()
-    for signum in (signal.SIGINT, signal.SIGTERM):
-        signal.signal(signum, lambda *_: shutdown.set())
     try:
         while not shutdown.is_set():  # serve until signalled
             shutdown.wait(0.5)
@@ -599,7 +593,6 @@ def cmd_serve(args) -> None:
         batch_size=args.batch_size, scheduler=args.scheduler,
         threshold=threshold, slo_ms=args.slo_ms,
         transport=args.transport, pin_workers=args.pin,
-        backend=args.backend,
     )
     for name, state, model_threshold in extra_models:
         service.load_model(
@@ -715,7 +708,6 @@ def cmd_suite(args) -> None:
             digest = runner.verify_service_identity(
                 spec, num_workers=args.workers, scheduler=args.scheduler,
                 transport=args.transport, pin_workers=args.pin,
-                backend=args.backend,
             )
             print(f"service identity: {spec.scenario_id} through a "
                   f"{args.workers}-worker ShardedDetectionService matches "
@@ -908,7 +900,8 @@ def build_parser() -> argparse.ArgumentParser:
                                         "cwl2", "jsma"], default="bim")
     p.add_argument("--attack-rate", type=float, default=0.33)
     p.add_argument("--fpr", type=float, default=0.1)
-    p.set_defaults(func=cmd_serve)
+    # not a flag: perfbench/workload_http.py reads defaults.backend
+    p.set_defaults(func=cmd_serve, backend=None)
 
     p = sub.add_parser(
         "suite", help="run a scenario grid, write per-scenario JSON "
@@ -916,7 +909,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--grid", nargs="*", default=None, metavar="AXIS=V1,V2",
                    help="grid axes as axis=v1,v2 tokens (axes: workload, "
-                   "attack, defense, corruption, backend; corruption "
+                   "attack, defense, corruption; corruption "
                    "values take name@severity); unspecified axes use "
                    "the defaults")
     p.add_argument("--smoke", action="store_true",

@@ -311,8 +311,7 @@ def validate_segment_offsets(
     Offsets must be 1-D, non-decreasing and within ``[0, n_words]``
     (mirroring the operand checks of :func:`batch_and_popcount`'s
     callers); equal consecutive offsets — and a final offset at the
-    matrix edge — describe legitimate zero-length segments.  Shared by
-    every backend so they agree on what a malformed layout is.
+    matrix edge — describe legitimate zero-length segments.
     """
     offsets = np.asarray(offsets, dtype=np.intp)
     if offsets.ndim != 1:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 __all__ = [
     "Direction",
@@ -71,19 +71,10 @@ class ExtractionConfig:
 
     ``layers[i]`` configures extraction unit ``i`` (0-based, topological
     order over the network's conv/linear layers).
-
-    ``backend`` optionally names the kernel backend the detector's
-    batched score path should run on (see
-    :mod:`repro.core.backends`); ``None`` defers to the environment
-    override and then the numpy default.  Backends are bit-identical,
-    so this knob never changes scores or decisions — it travels with
-    the config (and the sharded service's state broadcast) purely so a
-    deployment's throughput choice is reproducible.
     """
 
     direction: Direction
     layers: List[LayerSpec]
-    backend: Optional[str] = None
 
     def __post_init__(self):
         if not self.layers:
@@ -173,7 +164,7 @@ class ExtractionConfig:
                 )
             else:
                 layers.append(spec)
-        return ExtractionConfig(self.direction, layers, backend=self.backend)
+        return ExtractionConfig(self.direction, layers)
 
     def describe(self) -> str:
         """One-line human-readable summary."""

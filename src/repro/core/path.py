@@ -254,11 +254,8 @@ class PackedPathBatch:
 
         return batch_popcount(self.words)
 
-    def tap_popcounts(self, kernels=None) -> np.ndarray:
-        """Per-tap popcounts, shape ``(N, num_taps)``; ``kernels``
-        optionally selects a :mod:`repro.core.backends` backend."""
-        if kernels is not None:
-            return kernels.segment_popcount(self.words, self.tap_offsets)
+    def tap_popcounts(self) -> np.ndarray:
+        """Per-tap popcounts, shape ``(N, num_taps)``."""
         return segment_popcount(self.words, self.tap_offsets)
 
     def densities(self) -> np.ndarray:
@@ -312,32 +309,36 @@ def per_tap_similarity(
     return sims
 
 
+class KernelBackend:
+    """Names the packed-word kernels the similarity functions run on:
+    the numpy reference in :mod:`repro.core.bitmask`, the only
+    implementation.  Kept for perfbench/workload_engine.py, which
+    passes ``kernels=detector.kernels``."""
+
+    name = "numpy"
+
+
+#: The one shared instance (``PtolemyDetector.kernels``).
+NUMPY_KERNELS = KernelBackend()
+
+
 def batch_path_similarity(
     batch: PackedPathBatch, canary_words: np.ndarray, kernels=None
 ) -> np.ndarray:
     """Vectorized :func:`path_similarity`: per-row containment of the
-    batch in the (broadcast or per-row) canary word matrix.
-    ``kernels`` optionally selects a :mod:`repro.core.backends` backend
-    (bit-identical by contract; numpy reference when ``None``)."""
-    if kernels is not None:
-        return kernels.batch_containment(batch.words, canary_words)
+    batch in the (broadcast or per-row) canary word matrix."""
+    # ``kernels`` is ignored; perfbench/workload_engine.py passes it.
     return batch_containment(batch.words, canary_words)
 
 
 def batch_per_tap_similarity(
     batch: PackedPathBatch, canary_words: np.ndarray, kernels=None
 ) -> np.ndarray:
-    """Vectorized :func:`per_tap_similarity` -> ``(N, num_taps)``.
-    ``kernels`` optionally selects a :mod:`repro.core.backends` backend
-    whose fused segment kernel skips the batch-sized AND temporary."""
+    """Vectorized :func:`per_tap_similarity` -> ``(N, num_taps)``."""
+    # ``kernels`` is ignored; perfbench/workload_engine.py passes it.
     canary = np.asarray(canary_words, dtype=np.uint64)
-    ones = batch.tap_popcounts(kernels=kernels)
-    if kernels is not None:
-        hits = kernels.segment_and_popcount(
-            batch.words, canary, batch.tap_offsets
-        )
-    else:
-        hits = segment_popcount(batch.words & canary, batch.tap_offsets)
+    ones = batch.tap_popcounts()
+    hits = segment_popcount(batch.words & canary, batch.tap_offsets)
     out = np.zeros(ones.shape, dtype=np.float64)
     nz = ones > 0
     out[nz] = hits[nz] / ones[nz]

@@ -12,11 +12,10 @@ from repro.isa.encoding import (
     encode,
 )
 from repro.isa.program import Program, assemble, disassemble
-from repro.isa.machine import BatchKernelUnit, FIXED_ONE, Machine, MachineError
+from repro.isa.machine import FIXED_ONE, Machine, MachineError
 from repro.isa.adapter import ModelAdapter
 
 __all__ = [
-    "BatchKernelUnit",
     "Instruction",
     "Opcode",
     "OPERAND_SPECS",

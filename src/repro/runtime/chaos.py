@@ -230,7 +230,7 @@ class FaultInjector:
                 self._hung.add(shard)
                 record["shards"] = [shard]
             elif spec.kind == "slow":
-                for shard_id in sorted(self.service.shard_backends()):
+                for shard_id in self.service.live_shards():
                     try:
                         self.service.inject_slowdown(spec.arg, shard_id)
                     except ServiceError:
@@ -246,7 +246,7 @@ class FaultInjector:
         return record
 
     def _crash_target(self) -> Optional[int]:
-        for shard_id in sorted(self.service.shard_backends()):
+        for shard_id in self.service.live_shards():
             if shard_id not in self._hung:
                 return shard_id
         return None

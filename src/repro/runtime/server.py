@@ -642,13 +642,6 @@ class DetectionHTTPServer:
                 getattr(self.service, "alive_workers", 0)
             ),
             "restarts": int(getattr(self.service, "restarts", 0)),
-            # effective kernel backend per shard (None until a shard
-            # reported ready), plus what the operator asked for
-            "backend_requested": getattr(self.service, "backend", None),
-            "kernel_backends": (
-                self.service.shard_backends()
-                if hasattr(self.service, "shard_backends") else {}
-            ),
             "default_model": getattr(self.service, "default_model", None),
             "models": models,
             "classes": classes,

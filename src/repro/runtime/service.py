@@ -122,7 +122,6 @@ def _build_worker_engine(
     state_payload,
     threshold: float,
     batch_size: int,
-    backend: Optional[str],
 ):
     """Rebuild one engine from a broadcast model payload (worker side)."""
     from repro.runtime.engine import DetectionEngine
@@ -133,12 +132,7 @@ def _build_worker_engine(
         else state_payload
     )
     detector = detector_from_state(model_factory(), state)
-    return DetectionEngine(
-        detector,
-        threshold=threshold,
-        batch_size=batch_size,
-        backend=backend,
-    )
+    return DetectionEngine(detector, threshold=threshold, batch_size=batch_size)
 
 
 def _beat(heartbeat) -> None:
@@ -185,7 +179,6 @@ def _worker_main(
     result_queue,
     heartbeat=None,
     pin_cpus: Optional[Tuple[int, ...]] = None,
-    backend: Optional[str] = None,
 ) -> None:
     """Shard process entry point: rebuild one engine per broadcast
     model, then serve model-keyed micro-batches until told to stop."""
@@ -193,8 +186,6 @@ def _worker_main(
     if pin_cpus:
         # Pin before warming caches so they live on the pinned core;
         # best-effort — a shrunken cgroup mask must not kill the shard.
-        # Pinning happens before the engines exist, so a tiled kernel
-        # backend sizes its thread pool off this shard's own CPU share.
         try:
             os.sched_setaffinity(0, set(pin_cpus))
         except (AttributeError, OSError):
@@ -204,19 +195,14 @@ def _worker_main(
     try:
         for key, (payload, factory, threshold) in models_payload.items():
             engines[key] = _build_worker_engine(
-                factory, payload, threshold, batch_size, backend
+                factory, payload, threshold, batch_size
             )
         if not engines:
             raise RuntimeError("worker started with no models to serve")
     except Exception as exc:  # startup failure is fatal for this shard
         result_queue.put(("fatal", worker_id, repr(exc)))
         return
-    # The ready payload names the kernel backend that actually resolved
-    # here (a requested numba may have degraded to numpy on this host),
-    # so parent-side introspection reports the shard's effective choice.
-    result_queue.put(
-        ("ready", worker_id, next(iter(engines.values())).kernel_backend)
-    )
+    result_queue.put(("ready", worker_id, None))
     slow_delay = 0.0
     while True:
         # Heartbeat-bounded get: an idle worker still proves liveness
@@ -273,7 +259,7 @@ def _worker_main(
             key, payload, factory, threshold = message[1:]
             try:
                 engines[key] = _build_worker_engine(
-                    factory, payload, threshold, batch_size, backend
+                    factory, payload, threshold, batch_size
                 )
             except Exception as exc:
                 result_queue.put(("loaded", worker_id, (key, repr(exc))))
@@ -466,8 +452,6 @@ class _Shard:
     # failure instead of retrying every batch
     slabs: Optional[SlabRing] = None
     slab_failed: bool = False
-    # effective kernel backend the worker reported at ready time
-    backend: Optional[str] = None
     # model keys this worker holds engines for: seeded at spawn, grown
     # by "loaded" acks during hot-swap (read by load_model's barrier)
     loaded_models: set = field(default_factory=set)
@@ -637,12 +621,8 @@ class ShardedDetectionService:
         across several on row boundaries instead of leaving the
         zero-copy path.
     backend:
-        Kernel backend name broadcast to every worker (see
-        :mod:`repro.core.backends`); ``None`` lets each worker resolve
-        its own default (env var, then the detector config, then
-        numpy).  Workers report their effective backend at ready time
-        — see :meth:`shard_backends`.  Backends are bit-identical on
-        decisions; this is purely a throughput knob.
+        Accepted only as ``None`` or ``"numpy"`` (the one kernel
+        implementation); anything else raises ``ValueError``.
     hang_timeout:
         Heartbeat watchdog: every worker bumps a lock-free counter at
         least every ``HEARTBEAT_INTERVAL`` while healthy; a ready
@@ -696,6 +676,11 @@ class ShardedDetectionService:
             )
         if slab_slots < 1:
             raise ValueError("slab_slots must be positive")
+        # perfbench/workload_http.py passes backend=defaults.backend
+        if backend not in (None, "numpy"):
+            raise ValueError(
+                f"unknown kernel backend {backend!r}; only 'numpy' exists"
+            )
         if registry is not None:
             if detector is not None or state is not None:
                 raise ValueError(
@@ -735,7 +720,6 @@ class ShardedDetectionService:
         self.transport_requested = transport
         self._shm_ok = transport == "shm" and shm_available()
         self.slab_slots = slab_slots
-        self.backend = backend
         self.pin_workers = bool(pin_workers)
         self._affinity_plan = (
             plan_worker_affinity(num_workers) if self.pin_workers else None
@@ -1581,7 +1565,6 @@ class ShardedDetectionService:
                 result_queue,
                 heartbeat,
                 pin_cpus,
-                self.backend,
             ),
             name=f"detection-shard-{shard_id}",
             daemon=True,
@@ -1788,14 +1771,10 @@ class ShardedDetectionService:
         in play, ``"queue"`` when forced or unavailable."""
         return "shm" if self._shm_ok else "queue"
 
-    def shard_backends(self) -> Dict[int, Optional[str]]:
-        """Effective kernel backend per live shard, as each worker
-        reported at ready time (``None`` until a shard is warm)."""
+    def live_shards(self) -> List[int]:
+        """Ids of the shards currently in the pool, ascending."""
         with self._lock:
-            return {
-                shard_id: shard.backend
-                for shard_id, shard in sorted(self._shards.items())
-            }
+            return sorted(self._shards)
 
     def transport_stats(self) -> dict:
         """Lifetime transport accounting: batches per channel, fallback
@@ -1813,8 +1792,6 @@ class ShardedDetectionService:
         stats["transport"] = self.transport
         stats["requested"] = self.transport_requested
         stats["slab_slots"] = self.slab_slots
-        stats["backend_requested"] = self.backend
-        stats["kernel_backends"] = self.shard_backends()
         return stats
 
     def _collect_loop(self) -> None:
@@ -1863,7 +1840,6 @@ class ShardedDetectionService:
                 return progressed
             progressed = True
             if kind == "ready":
-                shard.backend = payload
                 with self._lock:
                     shard.last_beat_at = time.monotonic()
                     self._spawn_seconds.append(
@@ -2182,7 +2158,6 @@ def measure_worker_scaling(
     state: Optional[dict] = None,
     transport: str = "shm",
     pin_workers: bool = False,
-    backend: Optional[str] = None,
 ) -> dict:
     """Wall-clock samples/sec of the sharded service per pool size.
 
@@ -2209,7 +2184,6 @@ def measure_worker_scaling(
             scheduler=scheduler,
             transport=transport,
             pin_workers=pin_workers,
-            backend=backend,
         ) as service:
             service.run(traffic[: min(len(traffic), 2 * batch_size)])  # warm
             best = None
@@ -2235,7 +2209,6 @@ def measure_worker_scaling(
                 "scores": scores,
                 "rejection_rate": rejection_rate,
                 "transport": service.transport,
-                "kernel_backends": service.shard_backends(),
             }
         results[workers] = report
     return results

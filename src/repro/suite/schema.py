@@ -1,7 +1,7 @@
 """The versioned ``ScenarioReport`` JSON schema.
 
 Every scenario the suite runs — any {attack x defense x corruption x
-workload x backend} cell — is normalized into one report shape so CI
+workload} cell — is normalized into one report shape so CI
 can diff, gate, and aggregate them uniformly (the HYMET bench-harness
 pattern: many runners, one profile format).  The schema is deliberately
 plain JSON with stdlib-only validation, because the same checks run in
@@ -9,13 +9,13 @@ three places: the suite writer (before anything touches disk), the
 ``scripts/check_report_schema.py`` CI job, and the perf gate's
 ``suite`` section.
 
-Report shape (``SCHEMA_VERSION`` 1)::
+Report shape (``SCHEMA_VERSION`` 2)::
 
     {
-      "schema_version": 1,
-      "scenario_id": "alexnet_imagenet/bim/ptolemy_fwab/none/numpy",
+      "schema_version": 2,
+      "scenario_id": "alexnet_imagenet/bim/ptolemy_fwab/none",
       "config": {"workload": ..., "attack": ..., "defense": ...,
-                 "corruption": ..., "backend": ..., ...},
+                 "corruption": ..., ...},
       "config_fingerprint": "<sha256 of the canonical config JSON>",
       "metrics": {"auc": ..., "tpr_at_fpr": ..., "accuracy": ...,
                   "tpr": ..., "fpr": ..., "threshold": ...,
@@ -25,9 +25,11 @@ Report shape (``SCHEMA_VERSION`` 1)::
       "timing": {"fit_seconds": ..., "score_seconds": ...,
                  "samples": ..., "samples_per_sec": ...},
       "scores_digest": "sha256:<hex of the raw float64 score bytes>",
-      "environment": {"python": ..., "platform": ..., "numpy": ...,
-                      "backend": ...}
+      "environment": {"python": ..., "platform": ..., "numpy": ...}
     }
+
+Version 2 dropped ``config.backend`` and ``environment.backend``: the
+kernels have one (numpy) implementation.
 
 Extra keys are allowed everywhere (reports may carry scenario-specific
 detail, e.g. corruption MSE); the required core above is what CI gates.
@@ -49,11 +51,11 @@ __all__ = [
     "validate_report",
 ]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 #: Required keys per section: ``{section: {key: type}}``.  Floats accept
 #: ints too (JSON round-trips may narrow 1.0 -> 1).
-_REQUIRED_CONFIG = ("workload", "attack", "defense", "corruption", "backend")
+_REQUIRED_CONFIG = ("workload", "attack", "defense", "corruption")
 _REQUIRED_METRICS = (
     "auc", "tpr_at_fpr", "accuracy", "tpr", "fpr", "threshold", "target_fpr",
 )
@@ -61,7 +63,7 @@ _UNIT_METRICS = ("auc", "tpr_at_fpr", "accuracy", "tpr", "fpr")
 _REQUIRED_SWEEP_ROW = ("threshold", "tpr", "fpr", "accuracy")
 _REQUIRED_TIMING = ("fit_seconds", "score_seconds", "samples",
                     "samples_per_sec")
-_REQUIRED_ENVIRONMENT = ("python", "platform", "numpy", "backend")
+_REQUIRED_ENVIRONMENT = ("python", "platform", "numpy")
 
 
 def config_fingerprint(config: Dict) -> str:
@@ -76,7 +78,7 @@ def scores_digest(raw: bytes) -> str:
     return "sha256:" + hashlib.sha256(raw).hexdigest()
 
 
-def environment_info(backend: str) -> Dict[str, str]:
+def environment_info() -> Dict[str, str]:
     """The environment section: enough to explain a digest mismatch."""
     try:
         import numpy
@@ -88,7 +90,6 @@ def environment_info(backend: str) -> Dict[str, str]:
         "python": platform.python_version(),
         "platform": platform.platform(),
         "numpy": numpy_version,
-        "backend": backend,
     }
 
 
@@ -201,11 +202,10 @@ def example_report() -> Dict:
         "attack": "bim",
         "defense": "ptolemy_fwab",
         "corruption": "none",
-        "backend": "numpy",
     }
     return {
         "schema_version": SCHEMA_VERSION,
-        "scenario_id": "alexnet_imagenet/bim/ptolemy_fwab/none/numpy",
+        "scenario_id": "alexnet_imagenet/bim/ptolemy_fwab/none",
         "config": config,
         "config_fingerprint": config_fingerprint(config),
         "metrics": {
@@ -226,6 +226,5 @@ def example_report() -> Dict:
             "python": sys.version.split()[0],
             "platform": "example",
             "numpy": "2.0",
-            "backend": "numpy",
         },
     }

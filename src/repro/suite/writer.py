@@ -104,12 +104,12 @@ def render_summary(
             metrics = report["metrics"]
             rows.append([
                 config["attack"], config["defense"], config["corruption"],
-                config["backend"], metrics["auc"], metrics["tpr_at_fpr"],
+                metrics["auc"], metrics["tpr_at_fpr"],
                 metrics["accuracy"],
                 float(report["timing"]["samples_per_sec"]),
             ])
         lines.append(render_markdown_table(
-            ["attack", "defense", "corruption", "backend", "AUC",
+            ["attack", "defense", "corruption", "AUC",
              f"TPR@{group[0]['metrics']['target_fpr']:g}FPR", "accuracy",
              "samples/s"],
             rows,

@@ -1,5 +1,12 @@
 """Tests for the evaluation harness, reporting helpers, and the CLI."""
 
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -166,3 +173,57 @@ class TestCli:
 
         with pytest.raises(SystemExit):
             main(["train", "nope"])
+
+    @pytest.mark.parametrize("command", ["serve", "throughput", "suite"])
+    def test_pool_commands_have_no_backend_flag(self, command):
+        from repro.cli import build_parser
+
+        parser = build_parser()
+        with pytest.raises(SystemExit):
+            parser.parse_args([command, "alexnet_imagenet",
+                               "--backend", "numpy"])
+
+    @pytest.mark.skipif(not Path("/proc/self/task").exists(),
+                        reason="reads worker pids from /proc")
+    def test_serve_http_sigterm_right_after_banner_stops_cleanly(self):
+        """SIGTERM sent the moment the "serving ... on URL" banner
+        arrives must drain and stop the pool: exit 0, "stopped
+        cleanly", and no worker left running."""
+        repo = Path(__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(repo / "src"))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", "alexnet_imagenet",
+             "--http", "0", "--smoke"],
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+            env=env, cwd=repo, start_new_session=True,
+        )
+        try:
+            for line in proc.stdout:
+                if line.startswith("serving "):
+                    break
+            else:
+                pytest.fail("serve exited before printing its banner")
+            pid = proc.pid
+            workers = open(f"/proc/{pid}/task/{pid}/children").read().split()
+            proc.send_signal(signal.SIGTERM)
+            output = proc.stdout.read()
+            assert proc.wait(timeout=60) == 0, output
+        finally:
+            if proc.poll() is None:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.wait()
+        assert workers
+        assert "stopped cleanly" in output
+
+        def running(child):
+            # a zombie awaiting its reaper has stopped running
+            try:
+                stat = Path(f"/proc/{child}/stat").read_text()
+            except OSError:
+                return False
+            return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+        deadline = time.monotonic() + 10.0
+        while any(map(running, workers)) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        assert not [child for child in workers if running(child)]

@@ -1,5 +1,9 @@
 """Serialization tests: class paths, configs, detectors."""
 
+import copy
+import warnings
+
+import numpy as np
 import pytest
 
 from repro.attacks import BIM
@@ -61,6 +65,12 @@ class TestConfigIO:
             assert a.threshold == b.threshold
             assert a.extract == b.extract
 
+    def test_retired_backend_key_is_ignored(self):
+        data = config_to_dict(ExtractionConfig.fwab(4, phi=0.3))
+        assert "backend" not in data
+        restored = config_from_dict({**data, "backend": "tiled"})
+        assert config_to_dict(restored) == data
+
     def test_json_safe(self, tmp_path):
         import json
 
@@ -70,6 +80,32 @@ class TestConfigIO:
 
 
 class TestDetectorIO:
+    def test_state_with_retired_backend_scores_identically(
+        self, detector, trained_alexnet, small_dataset, monkeypatch
+    ):
+        """States saved while kernel backends were selectable carry
+        ``"backend": "tiled"`` in their config dict.  They must load,
+        and neither that key nor a leftover REPRO_KERNEL_BACKEND in the
+        environment may change startup or a single score bit."""
+        from repro.core import detector_from_state, detector_to_state
+        from repro.runtime import DetectionEngine
+
+        xs = small_dataset.x_test[:16]
+        state = detector_to_state(detector, include_model=False)
+        old_state = copy.deepcopy(state)
+        old_state["config"]["backend"] = "tiled"
+        reference = detector_from_state(trained_alexnet, state)
+        expected = DetectionEngine(reference).run(xs).scores
+
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "tiled")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            old = detector_from_state(trained_alexnet, old_state)
+            engine = DetectionEngine(old)
+        assert old.kernels is reference.kernels
+        np.testing.assert_array_equal(engine.run(xs).scores, expected)
+        np.testing.assert_array_equal(old.scores_batch(xs), expected)
+
     def test_scores_preserved_exactly(self, detector, trained_alexnet,
                                       small_dataset, tmp_path):
         save_detector(detector, tmp_path / "det")

@@ -53,12 +53,11 @@ class TestGrid:
             "attack": ("bim", "fgsm"),
             "defense": ("ptolemy_fwab", "ep"),
             "corruption": ("none",),
-            "backend": ("numpy",),
         })
         assert len(specs) == 4
         assert not skipped
         ids = {s.scenario_id for s in specs}
-        assert "alexnet_imagenet/bim/ep/none/numpy" in ids
+        assert "alexnet_imagenet/bim/ep/none" in ids
 
     def test_include_exclude_globs(self):
         axes = dict(SMOKE_AXES)
@@ -75,21 +74,9 @@ class TestGrid:
             "attack": ("fault_bitflip",),
             "defense": ("cdrp", "ptolemy_fwab"),
             "corruption": ("none",),
-            "backend": ("numpy",),
         })
         assert [s.defense for s in specs] == ["ptolemy_fwab"]
         assert len(skipped) == 1 and "path-based" in skipped[0].reason
-
-    def test_non_numpy_backend_skipped_for_non_engine_defense(self):
-        specs, skipped = expand_grid({
-            "workload": ("alexnet_imagenet",),
-            "attack": ("bim",),
-            "defense": ("sap",),
-            "corruption": ("none",),
-            "backend": ("tiled",),
-        })
-        assert not specs
-        assert "engine-scored" in skipped[0].reason
 
     def test_bad_corruption_severity_skipped(self):
         specs, skipped = expand_grid({
@@ -97,7 +84,6 @@ class TestGrid:
             "attack": ("bim",),
             "defense": ("ptolemy_fwab",),
             "corruption": ("gaussian_noise@9", "nonsense@2"),
-            "backend": ("numpy",),
         })
         assert not specs
         reasons = " | ".join(s.reason for s in skipped)
@@ -267,7 +253,7 @@ class TestRunner:
 class TestWriter:
     def test_write_reports_tree_and_manifest(self, tmp_path):
         report = example_report()
-        skipped = [SkippedScenario("w/x/y/none/numpy", "because")]
+        skipped = [SkippedScenario("w/x/y/none", "because")]
         manifest_path = write_reports(
             tmp_path, [report], skipped, {"attack": ["bim"]}
         )
