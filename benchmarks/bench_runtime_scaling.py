@@ -15,26 +15,10 @@ but only where the hardware can possibly deliver it (>= 2 CPUs), so
 the quantitative claim is CI's to gate (``scripts/perf_gate.py``
 --ratio-only) and single-core dev boxes only check the plumbing.
 
-The transport comparison rides along: the same traffic is served once
-per payload channel — shared-memory slab rings vs the pickle queue —
-and must come back bit-identical, with a raw IPC microbenchmark
-(:func:`repro.runtime.measure_ipc`) quantifying the per-batch
-round-trip each channel costs.  Since every slab payload now carries
-a verified crc32 (see :mod:`repro.runtime.transport`), the channel
-claim is a near-parity guard rather than a speedup: integrity passes
-cost about what pickling saves on commodity zlib, so a raw shm
-round-trip must hold :data:`MIN_TRANSPORT_SPEEDUP` of a queue
-round-trip.  End-to-end, detection compute
-dominates each batch, so the service-level claim is a parity guard:
-on multi-core hosts shm must hold :data:`MIN_TRANSPORT_PARITY` of the
-queue's 2-worker samples/s (it must never cost throughput).  Both are
-CI's gates to enforce (``scripts/perf_gate.py``).
-
 Run standalone for the nightly JSON artifacts::
 
-    python benchmarks/bench_runtime_scaling.py --output scaling.json \
-        --ipc-output ipc.json
-    python benchmarks/bench_runtime_scaling.py --smoke --transport queue
+    python benchmarks/bench_runtime_scaling.py --output scaling.json
+    python benchmarks/bench_runtime_scaling.py --smoke
 """
 
 import hashlib
@@ -50,12 +34,7 @@ if str(_SRC) not in sys.path:
 import numpy as np
 
 from repro.eval import Workbench, render_table
-from repro.runtime import (
-    DetectionEngine,
-    measure_ipc,
-    measure_worker_scaling,
-    shm_available,
-)
+from repro.runtime import DetectionEngine, measure_worker_scaling
 
 WORKER_COUNTS = (1, 2, 4)
 DEFAULT_SCENARIO = "alexnet_imagenet"
@@ -66,19 +45,6 @@ DEFAULT_VARIANT = "FwAb"
 SERVICE_BATCH = 32
 #: The scaling envelope CI gates at 2 workers (where >= 2 CPUs exist).
 MIN_SCALING_2X = 1.6
-#: Transport envelope at the channel layer.  Every slab payload now
-#: travels with a crc32 computed at pack and verified at unpack (2
-#: passes per direction); at bench payload sizes those passes cost
-#: within noise of what skipping pickle saves (~1.4 ms/MB each way on
-#: stock zlib), so the raw round-trip claim is near-parity, not a
-#: speedup.  The floor still catches structural regressions — an
-#: accidental extra copy or serialization on the slab path lands well
-#: below it.  (Pre-crc the floor was 1.3x; the e2e win survives
-#: because production responses are tiny score vectors, not echoes.)
-MIN_TRANSPORT_SPEEDUP = 0.85
-#: End-to-end parity guard: on multi-core hosts the shm service must
-#: hold this fraction of the queue service's 2-worker samples/s.
-MIN_TRANSPORT_PARITY = 0.95
 
 
 def measure_scaling(
@@ -88,14 +54,11 @@ def measure_scaling(
     variant: str = DEFAULT_VARIANT,
     batch_size: int = SERVICE_BATCH,
     repeats: int = 2,
-    transport: str = "shm",
     pin_workers: bool = False,
-    include_engine: bool = True,
 ):
     """``{workers: report}`` over the sharded service, plus an
     ``"engine"`` row measured on the single-process DetectionEngine as
-    the zero-IPC reference (same traffic, same batch size; skippable
-    when the caller only compares service runs against each other)."""
+    the zero-IPC reference (same traffic, same batch size)."""
     detector = workbench.detector(variant)
     traffic = workbench.traffic(count=count)
     results = measure_worker_scaling(
@@ -105,77 +68,19 @@ def measure_scaling(
         worker_counts=worker_counts,
         batch_size=batch_size,
         repeats=repeats,
-        transport=transport,
         pin_workers=pin_workers,
     )
-    if include_engine:
-        engine = DetectionEngine(detector, batch_size=batch_size)
-        engine.run(traffic[: min(len(traffic), 2 * batch_size)])  # warm
-        reference = engine.run(traffic)
-        results["engine"] = {
-            "samples": float(reference.num_samples),
-            "samples_per_sec": reference.stats.samples_per_sec,
-            "mean_batch_latency_ms": reference.stats.mean_batch_latency_ms,
-            "scores": reference.scores,
-            "rejection_rate": reference.rejection_rate,
-        }
+    engine = DetectionEngine(detector, batch_size=batch_size)
+    engine.run(traffic[: min(len(traffic), 2 * batch_size)])  # warm
+    reference = engine.run(traffic)
+    results["engine"] = {
+        "samples": float(reference.num_samples),
+        "samples_per_sec": reference.stats.samples_per_sec,
+        "mean_batch_latency_ms": reference.stats.mean_batch_latency_ms,
+        "scores": reference.scores,
+        "rejection_rate": reference.rejection_rate,
+    }
     return results
-
-
-def measure_transport_comparison(
-    workbench,
-    workers: int = 2,
-    count: int = 512,
-    variant: str = DEFAULT_VARIANT,
-    batch_size: int = SERVICE_BATCH,
-    repeats: int = 2,
-):
-    """Serve the same traffic once per payload channel at one pool
-    size.  Returns ``{"queue": report, "shm": report|None,
-    "shm_over_queue": ratio|None}``; decisions must match bit for bit
-    (checked by the callers) — the channels differ only in cost."""
-    comparison = {"workers": workers, "shm_available": shm_available()}
-    for transport in ("queue", "shm"):
-        if transport == "shm" and not comparison["shm_available"]:
-            comparison[transport] = None
-            continue
-        comparison[transport] = measure_scaling(
-            workbench, (workers,), count=count, variant=variant,
-            batch_size=batch_size, repeats=repeats, transport=transport,
-            include_engine=False,
-        )[workers]
-    if comparison.get("shm") is not None:
-        comparison["shm_over_queue"] = (
-            comparison["shm"]["samples_per_sec"]
-            / comparison["queue"]["samples_per_sec"]
-        )
-    else:
-        comparison["shm_over_queue"] = None
-    return comparison
-
-
-def render_transport_table(comparison, ipc, count: int) -> str:
-    rows = []
-    for transport in ("queue", "shm"):
-        report = comparison.get(transport)
-        if report is None:
-            rows.append((transport, "n/a (shm unavailable)", "", ""))
-            continue
-        micro = ipc.get(transport, {})
-        rows.append((
-            transport,
-            f"{report['samples_per_sec']:.0f}",
-            f"{report['mean_batch_latency_ms']:.2f}",
-            f"{micro.get('per_batch_ms', float('nan')):.3f} ms / "
-            f"{micro.get('mb_per_s', float('nan')):.0f} MB/s",
-        ))
-    return render_table(
-        f"transport comparison: {comparison['workers']} workers, "
-        f"{count} samples (IPC microbench: "
-        f"{ipc.get('payload_bytes', 0)} B payload round-trips)",
-        ["transport", "samples/s", "mean ms/batch", "raw IPC cost"],
-        rows,
-    )
 
 
 def render_scaling_table(results, count: int) -> str:
@@ -243,61 +148,9 @@ def test_runtime_worker_scaling(benchmark, smoke, max_workers):
                   f"assertable on this machine")
 
 
-def test_transport_queue_vs_shm(benchmark, smoke, max_workers):
-    """Queue vs shm payload channel at one pool size: bit-identical
-    decisions always; on multi-core full-size runs the shm channel must
-    also clear the throughput envelope."""
-    workbench = Workbench.get(DEFAULT_SCENARIO)
-    workers = min(2, max_workers)
-    count = 96 if smoke else 512
-    batch_size = 16 if smoke else SERVICE_BATCH
-
-    comparison = benchmark.pedantic(
-        lambda: measure_transport_comparison(
-            workbench, workers, count=count, batch_size=batch_size
-        ),
-        rounds=1, iterations=1,
-    )
-    ipc = measure_ipc(
-        payload_shape=(batch_size, 3, 16, 16) if smoke
-        else (batch_size, 3, 32, 32),
-        batches=16 if smoke else 64,
-    )
-
-    print()
-    print(render_transport_table(comparison, ipc, count))
-
-    # The transport moves bytes, never decisions: RuntimeError (not
-    # assert) so smoke mode's relaxed-assertion wrapper cannot skip an
-    # equivalence regression.
-    if comparison["shm"] is not None:
-        if not np.array_equal(
-            comparison["shm"]["scores"], comparison["queue"]["scores"]
-        ):
-            raise RuntimeError(
-                "shm transport changed detection scores vs the queue"
-            )
-    parity = comparison["shm_over_queue"]
-    cpus = os.cpu_count() or 1
-    if parity is not None:
-        ipc_speedup = ipc.get("shm_speedup", 0.0)
-        print(f"raw IPC round-trip shm over queue: {ipc_speedup:.2f}x "
-              f"(CI gate: >= {MIN_TRANSPORT_SPEEDUP}x)")
-        print(f"end-to-end shm over queue at {workers} workers: "
-              f"{parity:.2f}x (CI gate: >= {MIN_TRANSPORT_PARITY}x "
-              f"parity on multi-core)")
-        if not smoke:
-            assert ipc_speedup >= MIN_TRANSPORT_SPEEDUP
-            if cpus >= 2:
-                assert parity >= MIN_TRANSPORT_PARITY
-    else:
-        print("shared memory unavailable here; queue-only run")
-
-
 def _strip_scores(report: dict) -> dict:
     """JSON-safe report row: drop the score array but keep its digest,
-    so separate runs (e.g. the queue and shm legs of the CI
-    transport-smoke job) can prove bit-identical decisions."""
+    so separate runs can prove bit-identical decisions."""
     row = {k: v for k, v in report.items() if k != "scores"}
     scores = report.get("scores")
     if scores is not None:
@@ -308,8 +161,7 @@ def _strip_scores(report: dict) -> dict:
 
 
 def main(argv=None) -> int:
-    """Standalone entry point for the nightly benchmark artifacts and
-    the CI transport-smoke job."""
+    """Standalone entry point for the nightly benchmark artifacts."""
     import argparse
     import json
 
@@ -317,9 +169,6 @@ def main(argv=None) -> int:
     parser.add_argument("--count", type=int, default=512)
     parser.add_argument("--workers", type=int, nargs="+",
                         default=list(WORKER_COUNTS))
-    parser.add_argument("--transport", default="shm",
-                        choices=["shm", "queue"],
-                        help="payload channel for the service runs")
     parser.add_argument("--pin", action="store_true",
                         help="pin workers to disjoint CPU sets")
     parser.add_argument("--smoke", action="store_true",
@@ -327,10 +176,6 @@ def main(argv=None) -> int:
                         "traffic at 96 samples and the pool at 2")
     parser.add_argument("--output", default=None,
                         help="write the JSON report here")
-    parser.add_argument("--ipc-output", default=None,
-                        help="also run the raw IPC microbenchmark "
-                        "(queue vs shm round-trips) and write its "
-                        "JSON report here")
     args = parser.parse_args(argv)
 
     from _smoke import (
@@ -349,15 +194,15 @@ def main(argv=None) -> int:
     workbench = Workbench.get(DEFAULT_SCENARIO)
     results = measure_scaling(
         workbench, tuple(args.workers), count=args.count,
-        transport=args.transport, pin_workers=args.pin,
+        pin_workers=args.pin,
     )
     print(render_scaling_table(results, args.count))
     reference = results["engine"]["scores"]
     for workers in args.workers:
         if not np.array_equal(results[workers]["scores"], reference):
             raise SystemExit(
-                f"FATAL: {workers}-worker service over "
-                f"{args.transport} changed detection scores"
+                f"FATAL: {workers}-worker service changed detection "
+                "scores"
             )
     if args.output:
         report = {
@@ -365,18 +210,9 @@ def main(argv=None) -> int:
             for key, value in results.items()
         }
         report["cpu_count"] = os.cpu_count()
-        report["transport"] = args.transport
         report["pin_workers"] = args.pin
         Path(args.output).write_text(json.dumps(report, indent=2) + "\n")
         print(f"wrote {args.output}")
-    if args.ipc_output:
-        ipc = measure_ipc(
-            payload_shape=(16, 3, 16, 16) if args.smoke
-            else (SERVICE_BATCH, 3, 32, 32),
-            batches=16 if args.smoke else 128,
-        )
-        Path(args.ipc_output).write_text(json.dumps(ipc, indent=2) + "\n")
-        print(f"wrote {args.ipc_output}")
     return 0
 
 

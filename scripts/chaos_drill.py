@@ -5,18 +5,17 @@ Thin wrapper over ``repro chaos`` (:func:`repro.runtime.chaos.
 run_chaos_drill`) so CI can invoke the drill without an installed
 entry point.  Boots a real 2-worker :class:`ShardedDetectionService`,
 lands a seeded storm — worker crash, worker hang, per-batch slowdown
-over ≥20% of the stream, slab slot corruption, dropped dispatch
-descriptor — under live traffic, then asserts:
+over ≥20% of the stream, dropped dispatch message — under live
+traffic, then asserts:
 
 1. zero lost requests (every future resolves), and
 2. every response's score digest is bit-identical to a single-process
    ``DetectionEngine.run`` over the same samples, and
 3. the storm actually completed: the crash-reap and the watchdog
-   hung-reap both ran, and a worker refused (then recovered) at least
-   one corrupted slot.
+   hung-reap both ran.
 
-Prints the JSON recovery report (time-to-respawn, corrupted-slot
-count, retries) and exits non-zero on the first violated contract.
+Prints the JSON recovery report (time-to-respawn, retries) and exits
+non-zero on the first violated contract.
 """
 
 from __future__ import annotations

@@ -26,22 +26,6 @@ adaptive batcher holding p95 batch latency under its (machine-derived)
 SLO, and adaptive throughput staying >= 80% of fixed-batch throughput
 — are enforced everywhere, including ``--ratio-only`` CI runners.
 
-The transport layer closes the loop: the same 2-worker traffic is
-served once over the pickle queue and once over the shared-memory slab
-rings (bit-identity between the two is fatal to violate), and absolute
-samples/sec per channel are gated against the baseline's ``transport``
-section.  Two hardware-independent transport claims are enforced
-wherever shared memory exists: the raw IPC microbenchmark's per-batch
-round-trip must show shm >= :data:`TRANSPORT_SPEEDUP_FLOOR` over the
-queue (a near-parity guard now that every slab payload carries a
-verified crc32 — the integrity passes cost about what pickling
-saves), and on multi-core hosts the end-to-end shm service must hold
->= :data:`TRANSPORT_PARITY_FLOOR` of the queue service's throughput
-(detection compute dominates a batch, so the end-to-end delta is
-small — the parity floor guards against the transport ever *costing*
-throughput, skipped on single-CPU hosts where scheduling noise
-swamps it).
-
 The batched packed-word kernels
 (``benchmarks/bench_micro_primitives.measure_kernels``) have their
 absolute rows/sec per kernel gated against the baseline's ``kernels``
@@ -98,24 +82,6 @@ WORKER_BATCH = 32
 WORKER_SCALING_FLOOR = 1.6
 #: Traffic size for the HTTP closed-loop measurement.
 HTTP_TRAFFIC = 192
-#: Pool size for the queue-vs-shm transport comparison.
-TRANSPORT_WORKERS = 2
-#: The transport envelope, enforced at the channel layer wherever
-#: shared memory exists.  Every slab payload carries a crc32 computed
-#: at pack and verified at unpack (two passes per direction); on
-#: stock zlib those passes (~1.4 ms/MB round trip) cost within noise
-#: of what skipping pickle saves, so the raw echo round-trip gates at
-#: near-parity instead of the pre-crc 1.3x.  The floor still catches
-#: structural slab-path regressions (an extra copy or stray
-#: serialization lands well below it), and the microbenchmark echoes
-#: the full payload both ways — production responses are small score
-#: vectors, so the service keeps its end-to-end edge.
-TRANSPORT_SPEEDUP_FLOOR = 0.85
-#: End-to-end, detection compute dominates a batch, so the transport
-#: delta is a few percent of wall clock: the gate requires shm to hold
-#: >= 0.95x parity with the queue's 2-worker samples/s on multi-core
-#: hosts (it must never *cost* throughput).
-TRANSPORT_PARITY_FLOOR = 0.95
 #: The suite gate grid: 2 attacks x 2 defenses x 2 corruptions at
 #: smoke sizes — the accuracy+robustness slice CI re-measures.
 SUITE_GATE_GRID = (
@@ -195,47 +161,6 @@ def run_worker_bench() -> dict:
         results[2]["samples_per_sec"] / results[1]["samples_per_sec"]
     )
     report["cpu_count"] = os.cpu_count() or 1
-    return report
-
-
-def run_transport_bench() -> dict:
-    import numpy as np
-
-    from bench_runtime_scaling import measure_transport_comparison
-    from repro.eval import Workbench, workloads
-    from repro.runtime import measure_ipc, shm_available
-
-    workloads.shrink_for_smoke()
-    workbench = Workbench.get("alexnet_imagenet")
-    comparison = measure_transport_comparison(
-        workbench,
-        TRANSPORT_WORKERS,
-        count=WORKER_TRAFFIC,
-        batch_size=WORKER_BATCH,
-        repeats=3,  # best-of-3: shared runners are noisy
-    )
-    # the transport moves bytes, never decisions
-    if comparison["shm"] is not None and not np.array_equal(
-        comparison["shm"]["scores"], comparison["queue"]["scores"]
-    ):
-        raise SystemExit(
-            "FATAL: shm transport changed detection scores vs the queue"
-        )
-    report = {
-        "cpu_count": os.cpu_count() or 1,
-        "shm_available": shm_available(),
-        "shm_over_queue": comparison["shm_over_queue"],
-    }
-    for transport in ("queue", "shm"):
-        row = comparison[transport]
-        if row is not None:
-            report[transport] = {
-                "samples_per_sec": row["samples_per_sec"],
-                "mean_batch_latency_ms": row["mean_batch_latency_ms"],
-            }
-    report["ipc"] = measure_ipc(
-        payload_shape=(WORKER_BATCH, 3, 16, 16), batches=64
-    )
     return report
 
 
@@ -359,24 +284,6 @@ def main(argv=None) -> int:
           f"{current_workers['scaling_2_over_1']:.2f}x "
           f"on {current_workers['cpu_count']} CPU(s)")
 
-    print(f"perf gate: measuring transport comparison "
-          f"({WORKER_TRAFFIC} samples, {TRANSPORT_WORKERS} workers, "
-          f"queue vs shm)...")
-    current_transport = run_transport_bench()
-    for channel in ("queue", "shm"):
-        if channel in current_transport:
-            row = current_transport[channel]
-            print(f"  {channel:6s}: {row['samples_per_sec']:9.1f} "
-                  f"samples/s (wall clock)")
-    if current_transport["shm_over_queue"] is not None:
-        ipc = current_transport["ipc"]
-        print(f"  shm over queue: "
-              f"{current_transport['shm_over_queue']:.2f}x; raw IPC "
-              f"round-trip {ipc['queue']['per_batch_ms']:.3f} ms (queue) "
-              f"vs {ipc['shm']['per_batch_ms']:.3f} ms (shm)")
-    else:
-        print("  shared memory unavailable: queue-only measurement")
-
     print("perf gate: measuring batched kernels (large packed "
           "matrix)...")
     current_kernels = run_kernel_bench()
@@ -412,7 +319,6 @@ def main(argv=None) -> int:
             "python": platform.python_version(),
             "results": current,
             "workers": current_workers,
-            "transport": current_transport,
             "kernels": current_kernels,
             "http": current_http,
             "suite": current_suite,
@@ -486,72 +392,6 @@ def main(argv=None) -> int:
                 f"2-worker scaling {scaling:.2f}x < envelope floor "
                 f"{WORKER_SCALING_FLOOR:.2f}x on {cpus} CPUs"
             )
-
-    # -- transport envelope ---------------------------------------------
-    transport_baseline = baseline_file.get("transport")
-    if transport_baseline is None:
-        print("  (baseline has no transport section; run --update to "
-              "record one — absolute transport gates skipped)")
-    else:
-        for channel in ("queue", "shm"):
-            if channel not in current_transport:
-                continue
-            old_row = transport_baseline.get(channel)
-            new = current_transport[channel]["samples_per_sec"]
-            if old_row is None:
-                print(f"  transport {channel:6s}: {new:9.1f} samples/s "
-                      f"(no baseline row; gate skipped)")
-                continue
-            old = old_row["samples_per_sec"]
-            floor = old * (1.0 - args.tolerance)
-            if args.ratio_only:
-                print(f"  transport {channel:6s}: {new:9.1f} vs baseline "
-                      f"{old:9.1f} (absolute gate skipped: --ratio-only)")
-                continue
-            status = "ok" if new >= floor else "REGRESSION"
-            print(f"  transport {channel:6s}: {new:9.1f} vs baseline "
-                  f"{old:9.1f} (floor {floor:9.1f}) {status}")
-            if new < floor:
-                failures.append(
-                    f"{channel}-transport service: {new:.1f} samples/s < "
-                    f"{floor:.1f} ({args.tolerance:.0%} below {old:.1f})"
-                )
-    # Two hardware-independent transport claims, CI's to enforce.  The
-    # channel-layer one (raw shm round-trip near-parity with a queue
-    # round-trip, crc32 integrity included) is payload-bound and holds
-    # on any host; the end-to-end one is a parity guard on multi-core
-    # hosts, where process parallelism makes the wall-clock comparison
-    # meaningful.
-    parity = current_transport["shm_over_queue"]
-    cpus = current_transport["cpu_count"]
-    if not current_transport["shm_available"]:
-        print("  transport envelope skipped: shared memory unavailable "
-              "on this host")
-    else:
-        ipc_speedup = current_transport["ipc"].get("shm_speedup", 0.0)
-        status = ("ok" if ipc_speedup >= TRANSPORT_SPEEDUP_FLOOR
-                  else "REGRESSION")
-        print(f"  IPC round-trip shm over queue: {ipc_speedup:.2f}x vs "
-              f"envelope floor {TRANSPORT_SPEEDUP_FLOOR:.2f}x {status}")
-        if ipc_speedup < TRANSPORT_SPEEDUP_FLOOR:
-            failures.append(
-                f"shm IPC round-trip {ipc_speedup:.2f}x over queue < "
-                f"envelope floor {TRANSPORT_SPEEDUP_FLOOR:.2f}x"
-            )
-        if cpus < 2:
-            print(f"  end-to-end shm parity gate skipped: {cpus} CPU(s) "
-                  f"— single-core scheduling noise swamps the delta")
-        else:
-            status = ("ok" if parity >= TRANSPORT_PARITY_FLOOR
-                      else "REGRESSION")
-            print(f"  end-to-end shm over queue: {parity:.2f}x vs parity "
-                  f"floor {TRANSPORT_PARITY_FLOOR:.2f}x {status}")
-            if parity < TRANSPORT_PARITY_FLOOR:
-                failures.append(
-                    f"shm transport {parity:.2f}x of queue throughput < "
-                    f"parity floor {TRANSPORT_PARITY_FLOOR:.2f}x on "
-                    f"{cpus} CPUs"
-                )
 
     # -- batched kernels ------------------------------------------------
     kernel_baseline = baseline_file.get("kernels")

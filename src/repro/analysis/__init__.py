@@ -3,8 +3,8 @@
 AST rules with stable codes that machine-check the invariants the
 serving stack's bit-identity guarantee rests on:
 
-* ``RPR1xx`` concurrency — shm lifecycle, slab pairing, lock
-  discipline, worker-global writes (:mod:`repro.analysis.concurrency`)
+* ``RPR1xx`` concurrency — lock discipline, worker-global writes
+  (:mod:`repro.analysis.concurrency`)
 * ``RPR3xx`` API contracts — the one non-2xx error schema
   (:mod:`repro.analysis.api`)
 * ``RPR4xx`` hygiene — silent exception handling in runtime code

@@ -1,11 +1,11 @@
 """Core machinery for the repo-specific static analyzer.
 
 The analyzer enforces the invariants the serving stack's bit-identity
-guarantee rests on (shm lifecycle, lock discipline, error-schema
-conformance) as AST checks with stable rule codes.  It is
-stdlib-only on purpose: like ``scripts/lint.py`` and
-``scripts/check_report_schema.py`` it must run offline, in CI, and in
-any contributor checkout without installing anything.
+guarantee rests on (lock discipline, error-schema conformance) as AST
+checks with stable rule codes.  It is stdlib-only on purpose: like
+``scripts/lint.py`` and ``scripts/check_report_schema.py`` it must run
+offline, in CI, and in any contributor checkout without installing
+anything.
 
 Vocabulary
 ----------
@@ -14,7 +14,7 @@ Vocabulary
   :func:`register` and yield findings from :meth:`Checker.check`.
 * :class:`FileContext` — a parsed file plus the parent map and scope
   helpers every checker needs.
-* ``# repro: noqa[RPR101]`` on the flagged line suppresses a finding;
+* ``# repro: noqa[RPR103]`` on the flagged line suppresses a finding;
   ``# repro: noqa`` (no codes) suppresses every rule on that line.
 """
 
@@ -23,7 +23,7 @@ from __future__ import annotations
 import ast
 import re
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Type
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Type
 
 # Rule code for files the analyzer cannot parse at all.  Not a Checker:
 # there is no AST to hand one.
@@ -90,12 +90,6 @@ class FileContext:
     ) -> Optional[ast.AST]:
         for anc in self.ancestors(node):
             if isinstance(anc, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                return anc
-        return None
-
-    def enclosing_class(self, node: ast.AST) -> Optional[ast.ClassDef]:
-        for anc in self.ancestors(node):
-            if isinstance(anc, ast.ClassDef):
                 return anc
         return None
 
@@ -191,23 +185,6 @@ def dotted_name(node: ast.AST) -> str:
     elif not parts:
         return ""
     return ".".join(reversed(parts))
-
-
-def contains_call(
-    nodes: Sequence[ast.AST], attr: str
-) -> bool:
-    """True when any node in ``nodes`` (recursively) calls ``.attr(...)``
-    or a bare function named ``attr``."""
-    for root in nodes:
-        for sub in ast.walk(root):
-            if not isinstance(sub, ast.Call):
-                continue
-            func = sub.func
-            if isinstance(func, ast.Attribute) and func.attr == attr:
-                return True
-            if isinstance(func, ast.Name) and func.id == attr:
-                return True
-    return False
 
 
 def literal_int(node: ast.AST) -> Optional[int]:

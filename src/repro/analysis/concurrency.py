@@ -1,30 +1,16 @@
-"""Concurrency rules (RPR1xx): shm lifecycle and lock discipline.
+"""Concurrency rules (RPR1xx): lock discipline and worker state.
 
-These are the invariants PR 5's zero-copy transport depends on: a
-leaked ``/dev/shm`` segment outlives the process and a slab slot that
-is acquired but never released starves the ring.  The rules encode the
-two sanctioned lifecycles from ``runtime/transport.py``:
-
-* **try/finally** — a locally created segment is unlinked in a
-  ``finally`` block (or the create itself sits behind one).
-* **registered teardown** — the segment is stored on ``self`` inside a
-  class that unlinks it from a teardown method (``destroy``/``close``),
-  the pattern ``SlabRing`` uses.
+A lock acquired outside ``with``/try-finally deadlocks on the
+exception edge, and a module global written from a worker entry point
+silently diverges across the forked shard processes.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterable, List
+from typing import Iterable
 
-from .base import (
-    Checker,
-    FileContext,
-    Finding,
-    contains_call,
-    dotted_name,
-    register,
-)
+from .base import Checker, FileContext, Finding, dotted_name, register
 
 _LOCK_FACTORIES = {
     "Lock",
@@ -33,107 +19,6 @@ _LOCK_FACTORIES = {
     "Semaphore",
     "BoundedSemaphore",
 }
-
-
-def _is_shm_create(node: ast.Call) -> bool:
-    """``SharedMemory(create=True, ...)`` under any import alias."""
-    name = dotted_name(node.func)
-    if not name.split(".")[-1] == "SharedMemory":
-        return False
-    for kw in node.keywords:
-        if kw.arg == "create" and isinstance(kw.value, ast.Constant) \
-                and kw.value.value is True:
-            return True
-    return False
-
-
-@register
-class ShmUnlinkChecker(Checker):
-    """RPR101: every created shm segment needs an unlink on all paths."""
-
-    code = "RPR101"
-    name = "shm-unlink"
-    summary = (
-        "SharedMemory(create=True) must be unlinked via try/finally or "
-        "a class teardown method, or the segment leaks in /dev/shm"
-    )
-
-    def check(self, ctx: FileContext) -> Iterable[Finding]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call) or not _is_shm_create(node):
-                continue
-            if self._compliant(ctx, node):
-                continue
-            yield self.finding(
-                ctx,
-                node,
-                "SharedMemory(create=True) has no unlink() on the "
-                "failure path; unlink in a finally block or store the "
-                "segment on a class with a teardown method that "
-                "unlinks it",
-            )
-
-    def _compliant(self, ctx: FileContext, node: ast.Call) -> bool:
-        # Registered-teardown pattern: the enclosing class unlinks the
-        # segment from some method (destroy()/close()); an except
-        # handler covering a partial __init__ also counts because the
-        # instance never escapes otherwise.
-        cls = ctx.enclosing_class(node)
-        if cls is not None and contains_call([cls], "unlink"):
-            return True
-        # try/finally pattern inside the enclosing function (or at
-        # module scope): an unlink in a *finally* block guards every
-        # exit, including the exception edge between create and the
-        # straight-line unlink a naive probe would use.
-        scope = ctx.enclosing_function(node) or ctx.tree
-        for sub in ast.walk(scope):
-            if isinstance(sub, ast.Try) and contains_call(
-                sub.finalbody, "unlink"
-            ):
-                return True
-        return False
-
-
-@register
-class SlabPairingChecker(Checker):
-    """RPR102: slab-ring acquires must pair with release/reclaim."""
-
-    code = "RPR102"
-    name = "slab-pairing"
-    summary = (
-        "SlabRing.acquire() calls must pair with release() or the "
-        "documented crash-reclaim/destroy path in the same module"
-    )
-
-    _RECLAIM_ATTRS = ("release", "destroy", "_destroy_shard_slabs")
-
-    def check(self, ctx: FileContext) -> Iterable[Finding]:
-        acquires: List[ast.Call] = []
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            if not (isinstance(func, ast.Attribute)
-                    and func.attr == "acquire"):
-                continue
-            receiver = dotted_name(func.value).lower()
-            if "slab" in receiver or "ring" in receiver:
-                acquires.append(node)
-        if not acquires:
-            return
-        released = any(
-            contains_call([ctx.tree], attr) for attr in self._RECLAIM_ATTRS
-        )
-        if released:
-            return
-        for node in acquires:
-            yield self.finding(
-                ctx,
-                node,
-                "slab slot acquired but this module never calls "
-                "release()/destroy() or the crash-reclaim path; a "
-                "leaked slot starves the ring",
-            )
 
 
 @register
@@ -266,5 +151,5 @@ class WorkerGlobalChecker(Checker):
                 node,
                 f"worker entry point {func.name}() declares global "
                 f"{', '.join(node.names)}; pass state through the "
-                "queue/slab descriptors instead of module globals",
+                "worker's task messages instead of module globals",
             )

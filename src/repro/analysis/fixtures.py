@@ -27,71 +27,6 @@ class Fixture:
 
 
 FIXTURES: List[Fixture] = [
-    # -- RPR101: shm lifecycle -----------------------------------------
-    Fixture(
-        "RPR101", "violation", "src/repro/runtime/_fx_shm.py",
-        '''\
-from multiprocessing import shared_memory
-
-
-def probe() -> bool:
-    try:
-        seg = shared_memory.SharedMemory(create=True, size=64)
-        seg.close()
-        seg.unlink()
-        return True
-    except Exception:
-        return False
-''',
-    ),
-    Fixture(
-        "RPR101", "clean", "src/repro/runtime/_fx_shm.py",
-        '''\
-from multiprocessing import shared_memory
-
-
-def probe() -> bool:
-    try:
-        seg = shared_memory.SharedMemory(create=True, size=64)
-        try:
-            seg.close()
-        finally:
-            seg.unlink()
-        return True
-    except OSError:
-        return False
-
-
-class Ring:
-    def __init__(self, size: int):
-        self._shm = shared_memory.SharedMemory(create=True, size=size)
-
-    def destroy(self) -> None:
-        self._shm.close()
-        self._shm.unlink()
-''',
-    ),
-    # -- RPR102: slab acquire/release pairing --------------------------
-    Fixture(
-        "RPR102", "violation", "src/repro/runtime/_fx_slab.py",
-        '''\
-def send(ring, batch):
-    slot = ring.acquire()
-    ring.write(slot, batch)
-    return slot
-''',
-    ),
-    Fixture(
-        "RPR102", "clean", "src/repro/runtime/_fx_slab.py",
-        '''\
-def send(ring, batch):
-    slot = ring.acquire()
-    try:
-        ring.write(slot, batch)
-    finally:
-        ring.release(slot)
-''',
-    ),
     # -- RPR103: lock discipline ---------------------------------------
     Fixture(
         "RPR103", "violation", "src/repro/runtime/_fx_lock.py",
@@ -262,9 +197,9 @@ def drain(queue, log):
     Fixture(
         "RPR403", "violation", "src/repro/runtime/_fx_silent.py",
         '''\
-def release_quietly(slabs, slot):
+def drain_quietly(results):
     try:
-        slabs.release(slot)
+        results.get_nowait()
     except Exception:
         pass
 ''',
@@ -272,14 +207,14 @@ def release_quietly(slabs, slot):
     Fixture(
         "RPR403", "clean", "src/repro/runtime/_fx_silent.py",
         '''\
-from repro.runtime.transport import TransportError
+import queue
 
 
-def release_quietly(slabs, slot):
+def drain_quietly(results):
     try:
-        slabs.release(slot)
-    except TransportError:
-        pass  # ring already torn down by a racing reap
+        results.get_nowait()
+    except queue.Empty:
+        pass  # nothing queued yet
 ''',
     ),
     # -- RPR001: parse failure -----------------------------------------

@@ -1,4 +1,4 @@
-"""Hygiene rules (RPR4xx): exception handling in runtime/transport code.
+"""Hygiene rules (RPR4xx): exception handling in runtime code.
 
 The sharded service deliberately catches broadly in a few places
 (dead-worker reap, teardown races) — but each of those sites names the
@@ -6,8 +6,8 @@ narrow reason in a comment and does *something* with the error.  What
 these rules refuse is the silent kind: a bare ``except:``, a swallowed
 ``BaseException`` (which eats ``KeyboardInterrupt``/``SystemExit`` and
 turns Ctrl-C into a hang), and ``except Exception: pass`` in the
-serving stack, where a swallowed error shows up later as a stuck slot
-or a missing result.
+serving stack, where a swallowed error shows up later as a stuck
+request or a missing result.
 
 Scope: ``src/repro/runtime/`` only.  Outside the serving stack, ruff's
 ``E722``/``BLE001`` own this class of finding (see pyproject's
@@ -56,7 +56,7 @@ class BareExceptChecker(Checker):
     code = "RPR401"
     name = "bare-except"
     summary = (
-        "no bare 'except:' in runtime/transport code; it catches "
+        "no bare 'except:' in runtime code; it catches "
         "SystemExit/KeyboardInterrupt and hides the real error class"
     )
     paths_note = "src/repro/runtime/"

@@ -51,8 +51,8 @@ def _add_pool_args(parser, *, workers: int, models: bool = False) -> None:
 
     ``serve``, ``throughput``, and ``suite`` all front the same
     :class:`~repro.runtime.ShardedDetectionService`; this is the one
-    place its vocabulary (``--workers``/``--pin``/``--transport``/
-    ``--scheduler``, plus the repeatable ``--model``
+    place its vocabulary (``--workers``/``--pin``/``--scheduler``,
+    plus the repeatable ``--model``
     for multi-model commands) is defined, so the front-ends cannot
     drift apart.
     """
@@ -62,11 +62,6 @@ def _add_pool_args(parser, *, workers: int, models: bool = False) -> None:
     parser.add_argument("--pin", action="store_true",
                         help="pin each worker to a disjoint CPU set "
                         "(os.sched_setaffinity; no-op where unsupported)")
-    parser.add_argument("--transport", default="shm",
-                        choices=["shm", "queue"],
-                        help="batch payload channel: shared-memory slab "
-                        "rings (default; falls back per-batch to the "
-                        "queue when unavailable) or the pickle queue")
     parser.add_argument("--scheduler", default="round-robin",
                         choices=["round-robin", "least-loaded"])
     if models:
@@ -415,7 +410,6 @@ def cmd_throughput(args) -> None:
                 batch_size=batch_size,
                 state=state,
                 scheduler=args.scheduler,
-                transport=args.transport,
                 pin_workers=args.pin,
             )[args.workers])
             for batch_size in args.batch_sizes
@@ -465,8 +459,7 @@ def _throughput_models(args, workbench, detector, traffic) -> None:
         service = ShardedDetectionService(
             state=state, model_factory=workbench.model_factory,
             num_workers=workers, batch_size=batch_size,
-            scheduler=args.scheduler, transport=args.transport,
-            pin_workers=args.pin,
+            scheduler=args.scheduler, pin_workers=args.pin,
         )
         for name, model_state, model_threshold in extra:
             service.load_model(
@@ -502,8 +495,7 @@ def _serve_http(args, workbench, threshold, extra_models=()) -> None:
     service = workbench.service(
         args.variant, num_workers=args.workers,
         batch_size=args.batch_size, scheduler=args.scheduler,
-        threshold=threshold, slo_ms=args.slo_ms,
-        transport=args.transport, pin_workers=args.pin,
+        threshold=threshold, slo_ms=args.slo_ms, pin_workers=args.pin,
     )
     for name, state, model_threshold in extra_models:
         service.load_model(
@@ -581,7 +573,7 @@ def cmd_serve(args) -> None:
         return
     print(f"deploying {args.workers}-worker service: "
           f"threshold={threshold:.2f} (target FPR {args.fpr}), "
-          f"scheduler={args.scheduler}, transport={args.transport}"
+          f"scheduler={args.scheduler}"
           f"{', pinned' if args.pin else ''}"
           f"{f', +{len(extra_models)} extra models' if extra_models else ''}")
     frames, is_attack = workbench.traffic(
@@ -591,8 +583,7 @@ def cmd_serve(args) -> None:
     service = workbench.service(
         args.variant, num_workers=args.workers,
         batch_size=args.batch_size, scheduler=args.scheduler,
-        threshold=threshold, slo_ms=args.slo_ms,
-        transport=args.transport, pin_workers=args.pin,
+        threshold=threshold, slo_ms=args.slo_ms, pin_workers=args.pin,
     )
     for name, state, model_threshold in extra_models:
         service.load_model(
@@ -608,7 +599,6 @@ def cmd_serve(args) -> None:
         shard_stats = service.shard_stats()
         merged = service.stats()
         restarts = service.restarts
-        transport_stats = service.transport_stats()
     rows = [
         (f"shard {shard_id}", int(stats.samples), int(stats.batches),
          f"{stats.samples_per_sec:.0f}",
@@ -635,12 +625,6 @@ def cmd_serve(args) -> None:
     print(f"caught {caught}/{attacks} attacks, {false_alarms} false "
           f"alarms on {len(frames) - attacks} benign frames; "
           f"worker restarts: {restarts}")
-    print(f"transport: {transport_stats['transport']} "
-          f"({transport_stats['shm_batches']} shm batches, "
-          f"{transport_stats['queue_batches']} queue batches, "
-          f"{transport_stats['slot_fallbacks']} slot fallbacks, "
-          f"{transport_stats['shm_bytes_in'] / 1e6:.1f} MB in / "
-          f"{transport_stats['shm_bytes_out'] / 1e6:.1f} MB out over shm)")
     if model_results:
         rows = [
             (name, len(frames), f"{res.samples_per_sec:.0f}",
@@ -707,7 +691,7 @@ def cmd_suite(args) -> None:
         else:
             digest = runner.verify_service_identity(
                 spec, num_workers=args.workers, scheduler=args.scheduler,
-                transport=args.transport, pin_workers=args.pin,
+                pin_workers=args.pin,
             )
             print(f"service identity: {spec.scenario_id} through a "
                   f"{args.workers}-worker ShardedDetectionService matches "
@@ -900,8 +884,8 @@ def build_parser() -> argparse.ArgumentParser:
                                         "cwl2", "jsma"], default="bim")
     p.add_argument("--attack-rate", type=float, default=0.33)
     p.add_argument("--fpr", type=float, default=0.1)
-    # not a flag: perfbench/workload_http.py reads defaults.backend
-    p.set_defaults(func=cmd_serve, backend=None)
+    # not flags: perfbench/workload_http.py reads both defaults
+    p.set_defaults(func=cmd_serve, backend=None, transport=None)
 
     p = sub.add_parser(
         "suite", help="run a scenario grid, write per-scenario JSON "
@@ -928,7 +912,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--service", action="store_true",
                    help="additionally score one engine-scored cell "
                    "through a ShardedDetectionService pool (configured "
-                   "by the --workers/--transport/... flags) and verify "
+                   "by the --workers/--scheduler/--pin flags) and verify "
                    "its scores match DetectionEngine.run bit-for-bit")
     _add_pool_args(p, workers=2)
     p.add_argument("--fpr", type=float, default=0.1,
@@ -963,8 +947,8 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Run a deterministic chaos drill: boot a real "
             "ShardedDetectionService, land a seeded storm of worker "
-            "crashes, hangs, slowdowns, slab corruptions and dropped "
-            "descriptors under live traffic, and fail unless zero "
+            "crashes, hangs, slowdowns and dropped batch messages "
+            "under live traffic, and fail unless zero "
             "requests are lost and every response is bit-identical to "
             "the single-process engine."
         ),

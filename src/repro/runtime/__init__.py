@@ -16,17 +16,15 @@ per-request :class:`RequestClass` SLO ladder),
 that service (validation, bounded class-aware 429 backpressure,
 graceful drain, per-model routing and ``/v1/models`` hot-swap),
 and :class:`ThroughputStats` keeps the samples/sec and per-stage
-latency accounting the benchmarks and the CI perf gate read.  Batch
-payloads move between the service and its shards over per-shard
-shared-memory slab rings (:class:`SlabRing` in
-:mod:`repro.runtime.transport`) so the hot path never pickles a batch;
-the pickle queue remains as the transparent per-batch fallback.
-Faults are first-class: slab payloads carry crc32 checksums, workers
-heartbeat to a watchdog that reaps live-but-hung shards, the client
-helpers retry idempotent failures under :class:`RetryPolicy`, and
-:mod:`repro.runtime.chaos` drives seeded fault storms
-(:class:`ChaosPlan`/:class:`FaultInjector`, ``repro chaos``) that must
-keep responses bit-identical to the single-process engine.
+latency accounting the benchmarks and the CI perf gate read.  Batches
+and results move between the service and its shards pickled over
+each shard's private multiprocessing queues.  Faults are
+first-class: workers heartbeat to a watchdog that reaps live-but-hung
+shards, the client helpers retry idempotent failures under
+:class:`RetryPolicy`, and :mod:`repro.runtime.chaos` drives seeded
+fault storms (:class:`ChaosPlan`/:class:`FaultInjector`, ``repro
+chaos``) that must keep responses bit-identical to the single-process
+engine.
 """
 
 from repro.runtime.chaos import (
@@ -73,14 +71,6 @@ from repro.runtime.sharding import (
 )
 from repro.runtime.server import DetectionHTTPServer, RetryPolicy
 from repro.runtime.stats import StageTimer, ThroughputStats
-from repro.runtime.transport import (
-    DEFAULT_SLAB_SLOTS,
-    SlabRing,
-    TransportError,
-    WorkerSlabs,
-    measure_ipc,
-    shm_available,
-)
 
 __all__ = [
     "AdaptiveBatcher",
@@ -117,10 +107,4 @@ __all__ = [
     "make_scheduler",
     "merge_shard_stats",
     "plan_worker_affinity",
-    "DEFAULT_SLAB_SLOTS",
-    "SlabRing",
-    "TransportError",
-    "WorkerSlabs",
-    "measure_ipc",
-    "shm_available",
 ]

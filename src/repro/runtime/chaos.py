@@ -1,15 +1,14 @@
 """Seeded chaos injection for the sharded runtime.
 
 The service's recovery machinery (dead-worker requeue, heartbeat
-watchdog, crc32 slab integrity, in-flight redelivery) is only worth
+watchdog, in-flight redelivery) is only worth
 trusting if it is exercised the way production fails: several fault
 shapes, at awkward moments, under live traffic.  This module turns the
 service's one-off injection hooks into a *deterministic storm*:
 
 - :class:`FaultSpec` — one scheduled fault: a worker hard-crash, a
-  worker hang (alive but unresponsive), a per-batch slowdown, a slab
-  slot corruption (byte flips in a packed payload), or a dropped
-  dispatch descriptor.  Faults fire by request index or by wall-clock
+  worker hang (alive but unresponsive), a per-batch slowdown, or a
+  dropped dispatch message.  Faults fire by request index or by wall-clock
   offset, whichever the spec pins.
 - :class:`ChaosPlan` — an ordered set of specs; ``ChaosPlan.storm``
   derives a reproducible plan from a seed (same seed → same plan).
@@ -51,7 +50,7 @@ __all__ = [
 ]
 
 #: Every fault shape the injector can land, in severity order.
-FAULT_KINDS = ("crash", "hang", "slow", "corrupt", "drop")
+FAULT_KINDS = ("crash", "hang", "slow", "drop")
 
 
 @dataclass(frozen=True)
@@ -62,8 +61,7 @@ class FaultSpec:
     index) or ``at_seconds`` (fire once that much wall-clock has
     elapsed) must be set.  ``arg`` is kind-specific: the per-batch
     delay in seconds for ``slow`` (``0`` restores full speed), the
-    number of armed batches for ``corrupt``/``drop``, unused
-    otherwise.
+    number of armed batches for ``drop``, unused otherwise.
     """
 
     kind: str
@@ -108,8 +106,8 @@ class ChaosPlan:
         slow_delay: float = 0.02,
     ) -> "ChaosPlan":
         """A seeded full-coverage storm over ``num_requests`` requests:
-        at least one crash, one hang, one corrupted slot, one dropped
-        descriptor, and a slowdown window covering ``slow_fraction`` of
+        at least one crash, one hang, one dropped batch message, and a
+        slowdown window covering ``slow_fraction`` of
         the request stream (default well above the 20% floor the chaos
         gate requires).  Same seed and size → same plan, always."""
         if num_requests < 6:
@@ -121,11 +119,6 @@ class ChaosPlan:
         faults = [
             FaultSpec("slow", at_request=slow_start, arg=slow_delay),
             FaultSpec("slow", at_request=slow_start + slow_len, arg=0.0),
-            FaultSpec(
-                "corrupt",
-                at_request=rng.randrange(1, third + 1),
-                arg=1,
-            ),
             FaultSpec("hang", at_request=rng.randrange(1, third + 1)),
             FaultSpec(
                 "crash",
@@ -173,8 +166,8 @@ class FaultInjector:
 
     ``slow`` faults land on *every* live shard (so the slow window
     covers the whole pool, not one worker); ``crash``/``hang`` pick the
-    service's default target; ``corrupt``/``drop`` arm the service-wide
-    counters.  A fault whose target vanished between scheduling and
+    service's default target; ``drop`` arms the service-wide
+    counter.  A fault whose target vanished between scheduling and
     firing (e.g. the shard it would hang was already reaped) is
     recorded as skipped, never raised.
     """
@@ -236,8 +229,6 @@ class FaultInjector:
                     except ServiceError:
                         continue  # reaped between listing and injection
                     record["shards"].append(shard_id)
-            elif spec.kind == "corrupt":
-                self.service.inject_slot_corruption(max(1, int(spec.arg)))
             elif spec.kind == "drop":
                 self.service.inject_descriptor_drop(max(1, int(spec.arg)))
         except ServiceError as exc:
@@ -276,15 +267,15 @@ def run_chaos_drill(
     Boots a real :class:`ShardedDetectionService`, computes the
     single-process :class:`DetectionEngine` reference for the workload,
     then submits ``num_requests`` identical requests while the storm
-    lands (≥1 crash, ≥1 hang, ≥1 corrupted slot, ≥1 dropped
-    descriptor, and a slowdown window over ≥20% of the stream).
+    lands (≥1 crash, ≥1 hang, ≥1 dropped batch message, and a
+    slowdown window over ≥20% of the stream).
 
     The drill *passes* only if zero requests are lost (every future
     resolves) and every response's score digest is bit-identical to
     the engine reference.  Returns a JSON-serializable recovery report
-    (fault records, per-respawn latency, corrupted-slot count, retry
-    counts); ``report["passed"]`` carries the verdict — the CLI turns
-    it into the exit code.
+    (fault records, per-respawn latency, retry counts);
+    ``report["passed"]`` carries the verdict — the CLI turns it into
+    the exit code.
     """
     from repro.eval import Workbench, workloads
     from repro.runtime.engine import DetectionEngine
@@ -338,25 +329,6 @@ def run_chaos_drill(
                 continue
             if score_digest(result.scores) != reference_digest:
                 mismatches += 1
-        # Corruption top-up: during the storm the corrupted batch may
-        # have landed on a shard that was reaped before reading it, in
-        # which case the orphan requeue rewrote a clean payload and the
-        # crc-refusal path went unexercised.  Re-arm against the now
-        # healthy pool until a worker actually refuses a slot, so the
-        # drill always proves detection (not just injection).
-        for _ in range(3):
-            if service.fault_stats()["corrupt_redispatches"] >= 1:
-                break
-            service.inject_slot_corruption(1)
-            num_requests += 1
-            try:
-                result = service.submit(xs).result(timeout=60.0)
-            except ServiceError as exc:
-                lost += 1
-                errors.append(repr(exc))
-                continue
-            if score_digest(result.scores) != reference_digest:
-                mismatches += 1
         fault_stats = service.fault_stats()
         spawn_seconds = fault_stats.pop("spawn_to_ready_seconds")
     finally:
@@ -364,20 +336,13 @@ def run_chaos_drill(
     elapsed = time.monotonic() - started_at
 
     respawns = spawn_seconds[num_workers:]
-    retries = (
-        fault_stats["corrupt_redispatches"]
-        + fault_stats["redelivered_tasks"]
-    )
+    retries = fault_stats["redelivered_tasks"]
     storm_complete = (
         fault_stats["injected_crashes"] >= 1
         and fault_stats["injected_hangs"] >= 1
         # the crash-reap and the watchdog hung-reap both actually ran
         and fault_stats["dead_reaps"] >= 2
         and fault_stats["hung_reaps"] >= 1
-        # a corrupted slot was injected AND refused by a worker's crc
-        # check (then recovered over the pickle queue)
-        and fault_stats["corrupted_slots"] >= 1
-        and fault_stats["corrupt_redispatches"] >= 1
         and plan.slow_request_fraction >= 0.2
     )
     passed = lost == 0 and mismatches == 0 and storm_complete
@@ -396,7 +361,6 @@ def run_chaos_drill(
         "initial_spawn_seconds": [
             round(s, 3) for s in spawn_seconds[:num_workers]
         ],
-        "corrupted_slots": fault_stats["corrupted_slots"],
         "retries": retries,
         "lost_requests": lost,
         "digest_mismatches": mismatches,

@@ -24,18 +24,14 @@ Guarantees:
   the aggregate engine-time view, while request/service throughput is
   reported from wall clock (shards overlap in time, so summed engine
   seconds deliberately over-count).
-* **Transport** — batch payloads travel through per-shard
-  shared-memory slab rings (:mod:`repro.runtime.transport`) by
-  default: the queues carry only ``(seq, slot, shape, dtype)``
-  descriptors, so no batch or result is ever pickled on the hot path.
-  Anything the slabs cannot carry — shared memory unavailable, ring
-  exhausted, oversized batch — falls back per-batch to the original
-  pickle queue with bit-identical results (``transport="queue"``
-  forces that path everywhere).
+* **Transport** — every batch and every result travels pickled over
+  the shard's private multiprocessing queues: one message carries one
+  micro-batch (a few KB per frame), so pickling costs next to nothing
+  beside the detection compute it feeds.
 * **Multi-model** — one pool serves N named, versioned detectors out
   of a :class:`~repro.runtime.registry.ModelRegistry`: every worker
-  holds one engine per registered model, each batch descriptor carries
-  its ``(name, version)`` key through the transport, and
+  holds one engine per registered model, each batch message carries
+  its ``(name, version)`` key, and
   :meth:`ShardedDetectionService.load_model` hot-swaps a new version
   with drain-and-replace (routing flips only after every worker holds
   the new state; the old version unloads once its in-flight requests
@@ -84,14 +80,6 @@ from repro.runtime.sharding import (
     plan_worker_affinity,
 )
 from repro.runtime.stats import ThroughputStats
-from repro.runtime.transport import (
-    DEFAULT_SLAB_SLOTS,
-    OUT_BYTES_PER_SAMPLE,
-    SlabRing,
-    TransportError,
-    WorkerSlabs,
-    shm_available,
-)
 
 __all__ = [
     "ServiceError",
@@ -144,31 +132,6 @@ def _beat(heartbeat) -> None:
         heartbeat.value += 1
 
 
-def _quiet_inherited_slab_teardown() -> None:
-    """Silence the one unfixable teardown wart of fork-mode respawns.
-
-    A replacement worker forked while the dispatcher was mid-write
-    inherits that thread's numpy view into a slab segment.  The view
-    can never be released here (its owning thread does not exist in the
-    child), so the interpreter-exit ``SharedMemory.__del__`` raises a
-    harmless ``BufferError: cannot close exported pointers exist``.
-    Filter exactly that unraisable; everything else still reports."""
-    import sys
-
-    default_hook = sys.unraisablehook
-
-    def hook(unraisable):
-        if isinstance(unraisable.exc_value, BufferError) and (
-            getattr(unraisable.object, "__qualname__", "").startswith(
-                "SharedMemory."
-            )
-        ):
-            return
-        default_hook(unraisable)
-
-    sys.unraisablehook = hook
-
-
 def _worker_main(
     worker_id: int,
     # (name, version) -> (payload, model_factory, threshold); payloads
@@ -182,7 +145,6 @@ def _worker_main(
 ) -> None:
     """Shard process entry point: rebuild one engine per broadcast
     model, then serve model-keyed micro-batches until told to stop."""
-    _quiet_inherited_slab_teardown()
     if pin_cpus:
         # Pin before warming caches so they live on the pinned core;
         # best-effort — a shrunken cgroup mask must not kill the shard.
@@ -190,7 +152,6 @@ def _worker_main(
             os.sched_setaffinity(0, set(pin_cpus))
         except (AttributeError, OSError):
             pass
-    slabs: Optional[WorkerSlabs] = None
     engines: Dict[Tuple[str, int], object] = {}
     try:
         for key, (payload, factory, threshold) in models_payload.items():
@@ -215,18 +176,6 @@ def _worker_main(
             continue
         kind = message[0]
         if kind == "stop":
-            if slabs is not None:
-                # the models' layer caches — and this loop's own locals
-                # from the last batch — still reference slot views; drop
-                # them so the mmap can close without "exported pointers
-                # exist" noise
-                engines.clear()
-                engine = None  # noqa: F841 — releases the last engine
-                chunks = parts = None  # noqa: F841 — drops slot views
-                import gc
-
-                gc.collect()
-                slabs.close()
             return
         if kind == "crash":
             # Fault-injection hook (tests / chaos drills): die the way a
@@ -245,14 +194,6 @@ def _worker_main(
             # watchdog must classify this shard as slow, never hung.
             slow_delay = float(message[1])
             continue
-        if kind == "attach":
-            try:
-                slabs = WorkerSlabs(*message[1])
-            except Exception:
-                # Attach failures surface per-batch as "reject" below,
-                # which flips the parent back to the queue transport.
-                slabs = None
-            continue
         if kind == "load":
             # hot-swap: build the new version's engine and ack, so the
             # parent flips routing only once every worker holds it
@@ -270,37 +211,7 @@ def _worker_main(
             # drained old version: drop its engine (and caches)
             engines.pop(message[1], None)
             continue
-        if kind == "shm_batch":
-            seq, key, slot, shape, dtype_str, crc = message[1:]
-            if slabs is None:
-                result_queue.put(("reject", worker_id, (seq, slot)))
-                continue
-            try:
-                chunks = [slabs.input_view(slot, shape, dtype_str, crc)]
-            except TransportError:
-                # the slot's bytes no longer match the descriptor's
-                # crc32 (corrupted slab payload): refuse it — the
-                # parent reclaims the slot and redispatches the batch
-                # over the pickle queue, bit-identically
-                result_queue.put(("corrupt", worker_id, (seq, slot)))
-                continue
-        elif kind == "shm_spill":
-            # an oversized batch spilled across several slots: one
-            # zero-copy view per row chunk, processed in row order
-            seq, key, slot, shapes, dtype_str, crcs = message[1:]
-            if slabs is None:
-                result_queue.put(("reject", worker_id, (seq, slot)))
-                continue
-            try:
-                chunks = slabs.input_views(slot, shapes, dtype_str, crcs)
-            except TransportError:
-                result_queue.put(("corrupt", worker_id, (seq, slot)))
-                continue
-        else:
-            seq, key, batch = message[1], message[2], message[3]
-            slot = None
-            chunks = [batch]
-            batch = None
+        seq, key, batch = message[1:]
         if slow_delay > 0.0:
             # injected slowdown: sleep in heartbeat-sized increments so
             # a slow shard still reads as alive
@@ -317,69 +228,25 @@ def _worker_main(
             # but a deterministic error beats a crashed worker
             result_queue.put((
                 "error", worker_id,
-                (seq, f"model {key[0]}@{key[1]} is not loaded", slot),
+                (seq, f"model {key[0]}@{key[1]} is not loaded"),
             ))
             continue
+        _beat(heartbeat)
         try:
-            # Chunk splits never change results — the kernels are
-            # bit-identical across batch sizes — so a spilled batch's
-            # concatenated decisions match the unsplit batch exactly.
-            parts = []
-            size = 0
-            seconds = 0.0
-            stages: dict = {}
-            for chunk in chunks:
-                _beat(heartbeat)
-                parts.append(engine.process_batch(chunk))
-                size += len(chunk)
-                seconds += engine.last_batch_seconds
-                for stage, value in engine.last_batch_stages.items():
-                    stages[stage] = stages.get(stage, 0.0) + value
+            result = engine.process_batch(batch)
         except Exception as exc:
-            result_queue.put(("error", worker_id, (seq, repr(exc), slot)))
+            result_queue.put(("error", worker_id, (seq, repr(exc))))
             continue
-        if len(parts) == 1:
-            result = parts[0]
-            arrays = {
-                "scores": result.scores,
-                "predicted_classes": result.predicted_classes,
-                "is_adversarial": result.is_adversarial,
-                "similarities": result.similarities,
-            }
-        else:
-            arrays = {
-                "scores": np.concatenate([r.scores for r in parts]),
-                "predicted_classes": np.concatenate(
-                    [r.predicted_classes for r in parts]
-                ),
-                "is_adversarial": np.concatenate(
-                    [r.is_adversarial for r in parts]
-                ),
-                "similarities": np.concatenate(
-                    [r.similarities for r in parts]
-                ),
-            }
-        payload = {
+        result_queue.put(("batch", worker_id, {
             "seq": seq,
-            "size": size,
-            "slot": slot,
-            "seconds": seconds,
-            "stages": stages,
-        }
-        # drop the slot views before they can be reused
-        chunks = parts = result = None
-        out_slot = slot[0] if isinstance(slot, tuple) else slot
-        packed = (
-            slabs.pack_output(out_slot, arrays)
-            if out_slot is not None else None
-        )
-        if packed is not None:
-            payload["spec"], payload["crc"] = packed
-            result_queue.put(("shm_batch", worker_id, payload))
-        else:
-            # queue path, or a result too large for its output slot
-            payload.update(arrays)
-            result_queue.put(("batch", worker_id, payload))
+            "size": len(batch),
+            "seconds": engine.last_batch_seconds,
+            "stages": engine.last_batch_stages,
+            "scores": result.scores,
+            "predicted_classes": result.predicted_classes,
+            "is_adversarial": result.is_adversarial,
+            "similarities": result.similarities,
+        }))
 
 
 # -- parent-side bookkeeping -------------------------------------------------
@@ -388,11 +255,8 @@ def _worker_main(
 class _Task:
     """One dispatched micro-batch.
 
-    ``slot`` is the shard-local slab slot the batch currently occupies
-    when it went out over shared memory — or a tuple of slots when an
-    oversized batch spilled across several (``None`` on the queue
-    path); the parent keeps the batch array regardless so a crashed
-    shard's work can be requeued to a different shard's slabs.
+    The parent keeps the batch array after dispatch, so a crashed or
+    hung shard's work can be requeued to a surviving shard.
     """
 
     seq: int
@@ -401,10 +265,6 @@ class _Task:
     batch: np.ndarray
     key: Tuple[str, int] = (DEFAULT_MODEL, 1)
     priority: int = 1
-    slot: Union[int, Tuple[int, ...], None] = None
-    # pinned to the pickle queue after a crc32 mismatch, so the retry
-    # cannot go back through a (possibly damaged) slab
-    force_queue: bool = False
     # monotonic timestamps: queue-wait accounting + redelivery watchdog
     enqueued_at: float = 0.0
     dispatched_at: float = 0.0
@@ -446,12 +306,6 @@ class _Shard:
     dispatched_batches: int = 0
     stopping: bool = False
     broken: bool = False
-    # shared-memory data plane: created lazily at first dispatch (the
-    # slabs are sized from the first batch's sample shape); slab_failed
-    # pins this shard to the queue transport after a create/attach
-    # failure instead of retrying every batch
-    slabs: Optional[SlabRing] = None
-    slab_failed: bool = False
     # model keys this worker holds engines for: seeded at spawn, grown
     # by "loaded" acks during hot-swap (read by load_model's barrier)
     loaded_models: set = field(default_factory=set)
@@ -602,24 +456,14 @@ class ShardedDetectionService:
         multiprocessing start method; default ``fork`` where available
         (instant startup, zero-copy page sharing) else ``spawn``.
     transport:
-        ``"shm"`` (default) moves batch and result payloads through
-        per-shard shared-memory slab rings, with the queues carrying
-        only small descriptors; it degrades per-batch to the pickle
-        queue whenever shared memory is unavailable or a slab slot
-        cannot be acquired.  ``"queue"`` forces the pickle path
-        everywhere.  Decisions are bit-identical on both.
+        Accepted only as ``None`` or ``"queue"`` (the one payload
+        channel); anything else raises ``ValueError``.
     pin_workers:
         Pin each worker to a disjoint CPU set
         (:func:`~repro.runtime.sharding.plan_worker_affinity` +
         ``os.sched_setaffinity`` at worker startup) so the OS cannot
         migrate shards — and their warm caches — across cores.
         Best-effort no-op on platforms without affinity support.
-    slab_slots:
-        Slots per shard slab ring (default 16); once a shard's ring is
-        exhausted further batches for it fall back to the queue until
-        results free slots.  A batch too large for one slot spills
-        across several on row boundaries instead of leaving the
-        zero-copy path.
     backend:
         Accepted only as ``None`` or ``"numpy"`` (the one kernel
         implementation); anything else raises ``ValueError``.
@@ -627,16 +471,16 @@ class ShardedDetectionService:
         Heartbeat watchdog: every worker bumps a lock-free counter at
         least every ``HEARTBEAT_INTERVAL`` while healthy; a ready
         shard whose counter stays frozen this many seconds is declared
-        hung and reaped exactly like a dead one (terminate, reclaim
-        slab slots, requeue its in-flight batches, respawn within the
-        ``max_restarts`` budget).  Must comfortably exceed the worst
-        single-chunk engine latency; ``None`` disables the watchdog.
+        hung and reaped exactly like a dead one (terminate, requeue
+        its in-flight batches, respawn within the ``max_restarts``
+        budget).  Must comfortably exceed the worst single-chunk
+        engine latency; ``None`` disables the watchdog.
     task_timeout:
         In-flight redelivery: a batch dispatched this many seconds ago
         with no result is requeued to another shard (the seq-ordered
         duplicate guard makes the late original harmless).  This is
-        what recovers a dropped descriptor without waiting for a shard
-        reap.  ``None`` (default) disables redelivery; when set it
+        what recovers a dropped batch message without waiting for a
+        shard reap.  ``None`` (default) disables redelivery; when set it
         must exceed the worst queued+processing time of one batch.
     """
 
@@ -655,9 +499,8 @@ class ShardedDetectionService:
         max_restarts: Optional[int] = None,
         start_method: Optional[str] = None,
         ready_timeout: float = 120.0,
-        transport: str = "shm",
+        transport: Optional[str] = None,
         pin_workers: bool = False,
-        slab_slots: int = DEFAULT_SLAB_SLOTS,
         backend: Optional[str] = None,
         hang_timeout: Optional[float] = 30.0,
         task_timeout: Optional[float] = None,
@@ -670,12 +513,11 @@ class ShardedDetectionService:
             raise ValueError("hang_timeout must be positive (or None)")
         if task_timeout is not None and task_timeout <= 0:
             raise ValueError("task_timeout must be positive (or None)")
-        if transport not in ("shm", "queue"):
+        # perfbench/workload_http.py passes transport=defaults.transport
+        if transport not in (None, "queue"):
             raise ValueError(
-                f"unknown transport {transport!r}; choose 'shm' or 'queue'"
+                f"unknown transport {transport!r}; only 'queue' exists"
             )
-        if slab_slots < 1:
-            raise ValueError("slab_slots must be positive")
         # perfbench/workload_http.py passes backend=defaults.backend
         if backend not in (None, "numpy"):
             raise ValueError(
@@ -717,9 +559,6 @@ class ShardedDetectionService:
         self.num_workers = num_workers
         self.threshold = threshold
         self.batch_size = batch_size
-        self.transport_requested = transport
-        self._shm_ok = transport == "shm" and shm_available()
-        self.slab_slots = slab_slots
         self.pin_workers = bool(pin_workers)
         self._affinity_plan = (
             plan_worker_affinity(num_workers) if self.pin_workers else None
@@ -727,33 +566,20 @@ class ShardedDetectionService:
         # shard_id -> plan slot, so a replacement takes over the CPU
         # share of the shard it replaces (never a live shard's)
         self._affinity_slots: Dict[int, int] = {}
-        self._transport_counts = {
-            "shm_batches": 0,
-            "queue_batches": 0,
-            "slot_fallbacks": 0,
-            "size_fallbacks": 0,
-            "spill_batches": 0,
-            "spill_slots": 0,
-            "shm_bytes_in": 0,
-            "shm_bytes_out": 0,
-            "slots_reclaimed": 0,
-        }
+        self._queue_batches = 0
         self.hang_timeout = hang_timeout
         self.task_timeout = task_timeout
         # self-healing / chaos accounting (see fault_stats())
         self._fault_counts = {
             "dead_reaps": 0,
             "hung_reaps": 0,
-            "corrupted_slots": 0,
-            "corrupt_redispatches": 0,
             "descriptor_drops": 0,
             "redelivered_tasks": 0,
             "injected_crashes": 0,
             "injected_hangs": 0,
             "injected_slowdowns": 0,
         }
-        # armed one-shot fault injections, consumed on the dispatch path
-        self._corrupt_next = 0
+        # armed one-shot fault injection, consumed on the dispatch path
         self._drop_next = 0
         # spawn→ready latency of every shard this service ever started
         # (respawns included) — the drill's time-to-respawn source
@@ -901,10 +727,6 @@ class ShardedDetectionService:
                 )
                 self._close_request_locked(request)
             for shard in shards:
-                # workers already joined (or were terminated): unlink
-                # every shared-memory segment so nothing outlives the
-                # pool in /dev/shm
-                self._destroy_shard_slabs(shard)
                 for q in (shard.task_queue, shard.result_queue):
                     q.close()
                     q.cancel_join_thread()
@@ -914,13 +736,10 @@ class ShardedDetectionService:
 
     @property
     def alive_workers(self) -> int:
-        """Shards currently able to take traffic."""
+        """Shards currently able to take traffic: alive, past their
+        "ready" message, and neither stopping nor broken."""
         with self._lock:
-            return sum(
-                1
-                for s in self._shards.values()
-                if s.process.is_alive() and not s.stopping
-            )
+            return len(self._ready_shards())
 
     @property
     def failure(self) -> Optional["ServiceError"]:
@@ -1444,7 +1263,7 @@ class ShardedDetectionService:
         return stats
 
     # -- fault injection ------------------------------------------------
-    # The seeded chaos layer (repro.runtime.chaos) drives these five
+    # The seeded chaos layer (repro.runtime.chaos) drives these four
     # hooks; each one forges a distinct production failure shape and
     # each is recovered by a different mechanism (see fault_stats()).
 
@@ -1495,21 +1314,10 @@ class ShardedDetectionService:
             self._fault_counts["injected_slowdowns"] += 1
             return shard.shard_id
 
-    def inject_slot_corruption(self, batches: int = 1) -> None:
-        """Arm byte-flips in the next ``batches`` shared-memory batch
-        payloads (flipped *after* the slot is written, so the crc32 in
-        the descriptor no longer matches).  The worker's integrity
-        check must refuse each one and the batch must redispatch over
-        the pickle queue, bit-identically."""
-        if batches < 1:
-            raise ValueError("batches must be positive")
-        with self._lock:
-            self._corrupt_next += int(batches)
-
     def inject_descriptor_drop(self, batches: int = 1) -> None:
-        """Arm dropping of the next ``batches`` dispatch descriptors:
-        the batch is accounted in flight but its control message never
-        reaches the worker.  Recovery needs ``task_timeout`` (in-flight
+        """Arm dropping of the next ``batches`` dispatch messages: the
+        batch is accounted in flight but its message never reaches the
+        worker.  Recovery needs ``task_timeout`` (in-flight
         redelivery); without it the batch waits for a shard reap."""
         if batches < 1:
             raise ValueError("batches must be positive")
@@ -1627,7 +1435,6 @@ class ShardedDetectionService:
                             [s.load() for s in ready]
                         )
                         shard = self._shards[target]
-                        message = self._transport_message(shard, task)
                         now = time.monotonic()
                         task.dispatched_at = now
                         if task.enqueued_at:
@@ -1638,138 +1445,19 @@ class ShardedDetectionService:
                         shard.inflight_samples += len(task.batch)
                         shard.dispatched_batches += 1
                         if self._drop_next > 0:
-                            # injected descriptor drop: the batch is
-                            # accounted in flight but its control
-                            # message never reaches the worker.  Any
-                            # slab slot is released here — the worker
-                            # never learned about it, so nothing else
-                            # can be reading it.
+                            # injected drop: the batch is accounted in
+                            # flight but its message never reaches the
+                            # worker
                             self._drop_next -= 1
                             self._fault_counts["descriptor_drops"] += 1
-                            self._release_slot(shard, task.slot)
-                            task.slot = None
                         else:
-                            shard.task_queue.put(message)
+                            self._queue_batches += 1
+                            shard.task_queue.put(
+                                ("batch", task.seq, task.key, task.batch)
+                            )
                         break
                 # no ready shard right now (e.g. respawn in progress)
                 time.sleep(0.005)
-
-    # -- transport (data plane) -----------------------------------------
-    def _transport_message(self, shard: _Shard, task: _Task) -> tuple:
-        """Build the control message for one batch, writing the payload
-        into a slab slot when the shm path can take it (called under
-        ``self._lock``)."""
-        task.slot = None
-        if self._shm_ok and not task.force_queue:
-            batch = np.ascontiguousarray(task.batch)
-            task.batch = batch  # a requeue reuses the contiguous form
-            if shard.slabs is None and not shard.slab_failed:
-                self._create_shard_slabs(shard, batch)
-            if shard.slabs is not None and not shard.slab_failed:
-                if not shard.slabs.fits(batch.nbytes):
-                    # too big for one slot: spill across several on row
-                    # boundaries, keeping the zero-copy path
-                    try:
-                        spilled = shard.slabs.spill_input(batch)
-                    except TransportError:
-                        # a single row outgrows a slot (or there is no
-                        # row axis): only the pickle queue can take it
-                        spilled = None
-                        self._transport_counts["size_fallbacks"] += 1
-                    else:
-                        if spilled is None:
-                            self._transport_counts["slot_fallbacks"] += 1
-                    if spilled is not None:
-                        slots, shapes, crcs = spilled
-                        if self._corrupt_next > 0:
-                            self._corrupt_next -= 1
-                            self._fault_counts["corrupted_slots"] += 1
-                            shard.slabs.corrupt_input(slots[0])
-                        task.slot = slots
-                        self._transport_counts["shm_batches"] += 1
-                        self._transport_counts["spill_batches"] += 1
-                        self._transport_counts["spill_slots"] += len(slots)
-                        self._transport_counts["shm_bytes_in"] += batch.nbytes
-                        return (
-                            "shm_spill", task.seq, task.key, slots,
-                            shapes, batch.dtype.str, crcs,
-                        )
-                else:
-                    slot = shard.slabs.acquire()
-                    if slot is None:
-                        self._transport_counts["slot_fallbacks"] += 1
-                    else:
-                        crc = shard.slabs.write_input(slot, batch)
-                        if self._corrupt_next > 0:
-                            # flip payload bytes *after* the descriptor
-                            # crc was computed, so the worker's
-                            # integrity check must reject the slot
-                            self._corrupt_next -= 1
-                            self._fault_counts["corrupted_slots"] += 1
-                            shard.slabs.corrupt_input(slot)
-                        task.slot = slot
-                        self._transport_counts["shm_batches"] += 1
-                        self._transport_counts["shm_bytes_in"] += batch.nbytes
-                        return (
-                            "shm_batch", task.seq, task.key, slot,
-                            batch.shape, batch.dtype.str, crc,
-                        )
-        self._transport_counts["queue_batches"] += 1
-        return ("batch", task.seq, task.key, task.batch)
-
-    def _create_shard_slabs(self, shard: _Shard, batch: np.ndarray) -> None:
-        """Lazily build this shard's slab ring, sized from the first
-        batch's sample shape and the service's max batch size, and tell
-        the worker to attach (the attach message is queued ahead of any
-        descriptor, so the worker is always ready for it)."""
-        sample_nbytes = (
-            int(np.prod(batch.shape[1:], dtype=np.int64)) * batch.itemsize
-            if batch.ndim > 1 else batch.itemsize
-        )
-        in_slot = max(1, sample_nbytes) * self.batch_size
-        out_slot = OUT_BYTES_PER_SAMPLE * self.batch_size + 1024
-        try:
-            shard.slabs = SlabRing(
-                shard.shard_id, self.slab_slots, in_slot, out_slot
-            )
-        except Exception:
-            # /dev/shm full, read-only, too small, ... — this shard
-            # serves over the queue for the rest of its life
-            shard.slab_failed = True
-            return
-        shard.task_queue.put(("attach", shard.slabs.attach_message()))
-
-    def _release_slot(
-        self, shard: _Shard, slot: Union[int, Tuple[int, ...], None]
-    ) -> None:
-        if slot is None or shard.slabs is None:
-            return
-        for held in slot if isinstance(slot, tuple) else (slot,):
-            try:
-                shard.slabs.release(held)
-            except TransportError:
-                pass  # slab ring already torn down by a racing reap
-
-    def _destroy_shard_slabs(self, shard: _Shard) -> int:
-        """Reclaim every slab slot the shard still holds and unlink its
-        segments; returns how many in-flight slots were reclaimed."""
-        reclaimed = 0
-        for task in shard.inflight.values():
-            if task.slot is not None:
-                reclaimed += (
-                    len(task.slot) if isinstance(task.slot, tuple) else 1
-                )
-                task.slot = None  # the slot(s) die with the slab
-        if shard.slabs is not None:
-            shard.slabs.destroy()
-            shard.slabs = None
-        return reclaimed
-
-    @property
-    def transport(self) -> str:
-        """The effective payload channel: ``"shm"`` when slab rings are
-        in play, ``"queue"`` when forced or unavailable."""
-        return "shm" if self._shm_ok else "queue"
 
     def live_shards(self) -> List[int]:
         """Ids of the shards currently in the pool, ascending."""
@@ -1777,22 +1465,19 @@ class ShardedDetectionService:
             return sorted(self._shards)
 
     def transport_stats(self) -> dict:
-        """Lifetime transport accounting: batches per channel, fallback
-        causes, and shared-memory bytes moved each way."""
+        """Lifetime count of batches sent to the workers.  Only
+        ``queue_batches`` is measured; the other five keys are constant
+        0 (perfbench/workload_http.py reads all six)."""
         with self._lock:
-            stats = dict(self._transport_counts)
-            stats["shards_with_slabs"] = sum(
-                1 for s in self._shards.values() if s.slabs is not None
-            )
-            stats["slots_in_use"] = sum(
-                s.slabs.in_use
-                for s in self._shards.values()
-                if s.slabs is not None
-            )
-        stats["transport"] = self.transport
-        stats["requested"] = self.transport_requested
-        stats["slab_slots"] = self.slab_slots
-        return stats
+            queue_batches = self._queue_batches
+        return {
+            "queue_batches": queue_batches,
+            "shm_batches": 0,
+            "slot_fallbacks": 0,
+            "size_fallbacks": 0,
+            "shm_bytes_in": 0,
+            "shm_bytes_out": 0,
+        }
 
     def _collect_loop(self) -> None:
         try:
@@ -1856,55 +1541,9 @@ class ShardedDetectionService:
                     with self._lock:
                         self._load_errors[key] = error
             elif kind == "batch":
-                # a queue-path result — or a shm-dispatched batch whose
-                # result overflowed its output slot; either way any
-                # held slot is done with
-                self._release_slot(shard, payload.pop("slot", None))
                 self._finish_chunk(worker_id, payload)
-            elif kind == "shm_batch":
-                slot = payload.pop("slot")
-                spec = payload.pop("spec")
-                crc = payload.pop("crc", None)
-                if shard.slabs is not None:
-                    # a spilled batch packs its result into its first
-                    # slot; the rest only carried input chunks
-                    out_slot = slot[0] if isinstance(slot, tuple) else slot
-                    try:
-                        arrays = shard.slabs.read_output(
-                            out_slot, spec, crc
-                        )
-                    except TransportError:
-                        # the packed result failed its crc32 check:
-                        # drop it, reclaim the slot(s), and redispatch
-                        # the batch over the pickle queue
-                        self._release_slot(shard, slot)
-                        self._redispatch_corrupt(shard, payload["seq"])
-                        continue
-                    payload.update(arrays)
-                    with self._lock:
-                        self._transport_counts["shm_bytes_out"] += sum(
-                            a.nbytes for a in arrays.values()
-                        )
-                    self._release_slot(shard, slot)
-                    self._finish_chunk(worker_id, payload)
-                # else: the slabs were already torn down (reap race) —
-                # the seq stays open and the batch requeues as an orphan
-            elif kind == "corrupt":
-                # the worker refused an input slot whose payload failed
-                # its crc32 check: reclaim the slot(s) and redispatch
-                # the batch over the pickle queue (the parent still
-                # holds the pristine array)
-                seq, slot = payload
-                self._release_slot(shard, slot)
-                self._redispatch_corrupt(shard, seq)
-            elif kind == "reject":
-                # the worker could not attach its slabs: requeue the
-                # batch and stop offering this shard the shm path
-                seq, slot = payload
-                self._requeue_rejected(shard, seq, slot)
             elif kind == "error":
-                seq, message, slot = payload
-                self._release_slot(shard, slot)
+                seq, message = payload
                 self._fail_seq(worker_id, seq, message)
             elif kind == "fatal":
                 # the worker announced its own startup failure; the
@@ -1987,27 +1626,6 @@ class ShardedDetectionService:
             )
         )
 
-    def _requeue_rejected(self, shard: _Shard, seq: int, slot) -> None:
-        """A worker bounced a shm descriptor it cannot read (attach
-        failed on its side): release the slot, pin the shard to the
-        queue transport, and redispatch the batch — the parent still
-        holds it."""
-        with self._lock:
-            shard.slab_failed = True
-            task = shard.inflight.pop(seq, None)
-            if task is not None:
-                shard.inflight_samples -= len(task.batch)
-                task.slot = None  # the slot dies with the slabs below
-            # an unattached worker can never produce shm results, so
-            # the slabs are dead weight: reclaim every slot its pending
-            # shm batches hold (they will all be rejected and land
-            # here) and unlink the segments now rather than at stop
-            self._transport_counts["slots_reclaimed"] += (
-                self._destroy_shard_slabs(shard)
-            )
-        if task is not None and not task.request.failed:
-            self._enqueue_task(task)
-
     def _fail_seq(self, worker_id: int, seq: int, message: str) -> None:
         """A worker hit a deterministic per-batch error: requeueing
         would loop, so the whole request fails."""
@@ -2031,23 +1649,6 @@ class ShardedDetectionService:
             ServiceError(f"worker failed processing batch: {message}")
         )
 
-    def _redispatch_corrupt(self, shard: _Shard, seq: int) -> None:
-        """A batch failed its crc32 integrity check (either direction):
-        pull it back from the shard's in-flight set and re-enqueue it
-        pinned to the pickle-queue transport, so the retry cannot hit
-        the same corrupted-slab failure and the caller still gets the
-        bit-identical result.  The caller has already released any
-        slab slot."""
-        with self._lock:
-            self._fault_counts["corrupt_redispatches"] += 1
-            task = shard.inflight.pop(seq, None)
-            if task is not None:
-                shard.inflight_samples -= len(task.batch)
-                task.slot = None
-                task.force_queue = True
-        if task is not None and not task.request.failed:
-            self._enqueue_task(task)
-
     def _check_health(self) -> None:
         orphans: List[_Task] = []
         redelivered: List[_Task] = []
@@ -2058,8 +1659,8 @@ class ShardedDetectionService:
                 # counter for longer than hang_timeout is alive but
                 # wedged (hung syscall, deadlocked import, injected
                 # hang).  Mark it broken so the reap below treats it
-                # exactly like a dead worker: terminate, reclaim slots,
-                # requeue in-flight batches, respawn.
+                # exactly like a dead worker: terminate, requeue
+                # in-flight batches, respawn.
                 if (
                     self.hang_timeout is not None
                     and not shard.stopping
@@ -2075,14 +1676,11 @@ class ShardedDetectionService:
                     elif now - shard.last_beat_at > self.hang_timeout:
                         shard.broken = True
                         self._fault_counts["hung_reaps"] += 1
-                # In-flight redelivery: a batch whose descriptor was
-                # lost (dropped control message) never comes back on
-                # its own; with a task_timeout it is redelivered to the
-                # pool.  The original slot is NOT released — the worker
-                # may still be reading it, and at-least-once delivery
-                # is already safe (late duplicates are dropped by the
-                # seq guard in _finish_chunk; the slot itself returns
-                # via the worker's late result or a shard reap).
+                # In-flight redelivery: a batch whose message was lost
+                # never comes back on its own; with a task_timeout it is
+                # redelivered to the pool.  At-least-once delivery is
+                # safe: late duplicates are dropped by the seq guard in
+                # _finish_chunk.
                 if (
                     self.task_timeout is not None
                     and not shard.stopping
@@ -2097,7 +1695,6 @@ class ShardedDetectionService:
                     for task in overdue:
                         del shard.inflight[task.seq]
                         shard.inflight_samples -= len(task.batch)
-                        task.slot = None
                         self._fault_counts["redelivered_tasks"] += 1
                         redelivered.append(task)
             dead = [
@@ -2117,13 +1714,6 @@ class ShardedDetectionService:
                 self._drain_shard_results(shard)
                 del self._shards[shard.shard_id]
                 orphans.extend(shard.inflight.values())
-                # reclaim the dead worker's slab slots *before* the
-                # orphans requeue: their payloads redispatch through a
-                # surviving shard's own slabs (or the queue), and the
-                # dead slabs unlink so nothing leaks in /dev/shm
-                self._transport_counts["slots_reclaimed"] += (
-                    self._destroy_shard_slabs(shard)
-                )
                 for q in (shard.task_queue, shard.result_queue):
                     q.close()
                     q.cancel_join_thread()
@@ -2156,7 +1746,6 @@ def measure_worker_scaling(
     threshold: float = 0.5,
     scheduler: Union[str, ShardScheduler] = "round-robin",
     state: Optional[dict] = None,
-    transport: str = "shm",
     pin_workers: bool = False,
 ) -> dict:
     """Wall-clock samples/sec of the sharded service per pool size.
@@ -2182,7 +1771,6 @@ def measure_worker_scaling(
             threshold=threshold,
             batch_size=batch_size,
             scheduler=scheduler,
-            transport=transport,
             pin_workers=pin_workers,
         ) as service:
             service.run(traffic[: min(len(traffic), 2 * batch_size)])  # warm
@@ -2208,7 +1796,6 @@ def measure_worker_scaling(
                 "engine_seconds": best.stats.total_seconds,
                 "scores": scores,
                 "rejection_rate": rejection_rate,
-                "transport": service.transport,
             }
         results[workers] = report
     return results

@@ -268,7 +268,6 @@ class SuiteRunner:
         spec: ScenarioSpec,
         num_workers: int = 2,
         scheduler: str = "round-robin",
-        transport: str = "shm",
         pin_workers: bool = False,
     ) -> str:
         """Prove the sharded service scores a cell bit-identically to a
@@ -304,7 +303,6 @@ class SuiteRunner:
             num_workers=num_workers,
             batch_size=self.config.batch_size,
             scheduler=scheduler,
-            transport=transport,
             pin_workers=pin_workers,
         ) as service:
             served = service.run(inputs).scores

@@ -1,20 +1,17 @@
 """Static-analyzer tests: rule fixtures, suppressions, baseline
-round-trip, JSON schema, and the runtime fixes the rules drove.
+round-trip, and JSON schema.
 
 The analyzer is a gate (CI `analyze` job + the lint fallback), so its
 own contract needs pinning: every rule must accept its clean fixture
 and reject its seeded violation, ``# repro: noqa[RPRnnn]`` must
 suppress exactly the named rule, the committed baseline must
-round-trip, and the tree itself must stay analyzer-clean.  The last
-classes pin the behaviour-preserving runtime fixes the first analyzer
-run surfaced (transport probe unlink, narrowed release except).
+round-trip, and the tree itself must stay analyzer-clean.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
@@ -68,8 +65,7 @@ class TestRuleFixtures:
         # The same violating source outside the rule's scope is silent:
         # hot-path and runtime rules must not fire on e.g. core/.
         for fixture in seeded_violations():
-            if fixture.rule in ("RPR101", "RPR102", "RPR103", "RPR104",
-                                PARSE_ERROR_CODE):
+            if fixture.rule in ("RPR103", "RPR104", PARSE_ERROR_CODE):
                 continue  # unscoped (or needs no scope) rules
             moved = analyze_source(
                 "src/repro/core/_fx_moved.py", fixture.source
@@ -107,7 +103,7 @@ class TestSuppression:
 
     def test_multiple_codes(self):
         assert "RPR401" not in self._codes(
-            "  # repro: noqa[RPR101, RPR401]"
+            "  # repro: noqa[RPR103, RPR401]"
         )
 
 
@@ -165,8 +161,8 @@ class TestBaseline:
     def test_new_finding_not_masked(self, tmp_path):
         path = tmp_path / "baseline.json"
         write_baseline(path, self._findings())
-        new = Finding("RPR102", "src/repro/runtime/z.py", 3, 0,
-                      "unpaired acquire", "slot = ring.acquire()")
+        new = Finding("RPR103", "src/repro/runtime/z.py", 3, 0,
+                      "bare acquire", "_lock.acquire()")
         fresh, _, _ = apply_baseline([new], load_baseline(path))
         assert fresh == [new]
 
@@ -221,39 +217,3 @@ class TestTreeClean:
             f"{f.path}:{f.line}: {f.rule} {f.message}" for f in findings
         )
 
-
-# -- pins for the analyzer-driven runtime fixes -------------------------
-
-class TestRuntimeFixes:
-    def test_shm_probe_unlinks_in_finally(self):
-        # RPR101 fix: the probe source itself must carry the
-        # finally-unlink shape, not just dodge the rule.
-        source = (REPO / "src/repro/runtime/transport.py").read_text()
-        findings = analyze_source("src/repro/runtime/transport.py", source)
-        assert [f for f in findings if f.rule == "RPR101"] == []
-
-    def test_release_slot_swallows_only_transport_errors(self):
-        from repro.runtime.service import ShardedDetectionService
-        from repro.runtime.transport import TransportError
-
-        svc = ShardedDetectionService.__new__(ShardedDetectionService)
-
-        calls = []
-
-        def torn_down(slot):
-            calls.append(slot)
-            raise TransportError("ring destroyed")
-
-        shard = SimpleNamespace(slabs=SimpleNamespace(release=torn_down))
-        # RPR403 fix: the teardown race stays silent...
-        svc._release_slot(shard, 3)
-        svc._release_slot(shard, (1, 2))
-        assert calls == [3, 1, 2]
-
-        def broken(slot):
-            raise RuntimeError("real bug")
-
-        shard = SimpleNamespace(slabs=SimpleNamespace(release=broken))
-        # ...but a genuine programming error now propagates.
-        with pytest.raises(RuntimeError):
-            svc._release_slot(shard, 0)

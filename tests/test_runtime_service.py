@@ -9,6 +9,9 @@ decisions bit-identical to a single-process
 
 from __future__ import annotations
 
+import os
+import time
+
 import numpy as np
 import pytest
 
@@ -32,7 +35,9 @@ from repro.runtime import (
     make_scheduler,
     measure_worker_scaling,
     merge_shard_stats,
+    plan_worker_affinity,
 )
+from repro.runtime.service import _Shard
 
 
 # Worker-side model factory: a picklable module-level callable shared
@@ -84,6 +89,24 @@ class TestSchedulers:
         assert make_scheduler(instance) is instance
         with pytest.raises(ValueError, match="unknown scheduler"):
             make_scheduler("fifo")
+
+
+class TestAffinityPlanning:
+    def test_plan_partitions_disjointly(self):
+        plan = plan_worker_affinity(2, available=[0, 1, 2, 3])
+        assert plan == [(0, 2), (1, 3)]
+        assert not set(plan[0]) & set(plan[1])
+
+    def test_plan_wraps_when_workers_exceed_cpus(self):
+        plan = plan_worker_affinity(4, available=[0, 1])
+        assert plan == [(0,), (1,), (0,), (1,)]
+
+    def test_plan_validates_and_degrades(self):
+        with pytest.raises(ValueError):
+            plan_worker_affinity(0)
+        if hasattr(os, "sched_getaffinity"):
+            assert plan_worker_affinity(1) is not None
+            assert plan_worker_affinity(3, available=[]) is None
 
 
 class TestStatsMerging:
@@ -192,6 +215,33 @@ class TestShardedDetectionService:
                 backend="tiled",
             )
 
+    def test_transport_argument_accepts_only_queue(
+        self, service_detector, engine_reference
+    ):
+        """``transport`` survives only as ``None``/``"queue"``: both
+        serve bit-identically over the pickle queue, any other name is
+        refused up front."""
+        xs, reference = engine_reference
+        for transport in (None, "queue"):
+            with ShardedDetectionService(
+                service_detector,
+                model_factory=_build_service_model,
+                num_workers=1,
+                batch_size=4,
+                transport=transport,
+            ) as service:
+                result = service.run(xs)
+                stats = service.transport_stats()
+            assert np.array_equal(result.scores, reference.scores)
+            assert stats["queue_batches"] == len(result.chunk_shards)
+            assert stats["shm_batches"] == 0
+        with pytest.raises(ValueError, match="transport"):
+            ShardedDetectionService(
+                service_detector,
+                model_factory=_build_service_model,
+                transport="shm",
+            )
+
     def test_stats_merge_across_shards(
         self, service_detector, engine_reference
     ):
@@ -295,8 +345,6 @@ class TestShardedDetectionService:
     ):
         """A shard dying mid-service must not lose or reorder work:
         in-flight batches are requeued and a replacement is spawned."""
-        import time
-
         xs, reference = engine_reference
         with ShardedDetectionService(
             service_detector,
@@ -326,6 +374,60 @@ class TestShardedDetectionService:
             assert service.alive_workers == 2
             # the healed pool still serves correctly
             assert np.array_equal(service.run(xs).scores, reference.scores)
+
+    def test_alive_workers_counts_only_ready_shards(
+        self, service_detector
+    ):
+        """A shard whose process runs but which has not yet sent its
+        "ready" message cannot take traffic, so it is not counted (nor
+        is a broken or stopping one)."""
+        service = ShardedDetectionService(
+            service_detector, model_factory=_build_service_model,
+        )
+
+        class LiveProcess:
+            def is_alive(self):
+                return True
+
+        shard = _Shard(0, LiveProcess(), None, None)
+        service._shards[0] = shard
+        assert service.alive_workers == 0
+        shard.ready.set()
+        assert service.alive_workers == 1
+        shard.broken = True
+        assert service.alive_workers == 0
+        shard.broken, shard.stopping = False, True
+        assert service.alive_workers == 0
+
+    def test_pinned_workers_serve_bit_identically(
+        self, service_detector, engine_reference
+    ):
+        xs, reference = engine_reference
+        with ShardedDetectionService(
+            service_detector,
+            model_factory=_build_service_model,
+            num_workers=2,
+            batch_size=4,
+            pin_workers=True,
+        ) as service:
+            result = service.run(xs)
+            assert np.array_equal(result.scores, reference.scores)
+            if service._affinity_plan is None:
+                return  # platform cannot pin; nothing more to check
+            # a replacement must take over the dead shard's CPU share,
+            # keeping the live shards' plan slots disjoint
+            service.inject_crash()
+            service.run(xs)
+            deadline = time.monotonic() + 30.0
+            while time.monotonic() < deadline and (
+                service.restarts < 1 or service.alive_workers < 2
+            ):
+                time.sleep(0.05)
+            with service._lock:
+                slots = sorted(
+                    service._affinity_slots[sid] for sid in service._shards
+                )
+            assert slots == [0, 1]
 
     def test_state_broadcast_shares_one_payload(
         self, service_detector, engine_reference
