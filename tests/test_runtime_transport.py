@@ -1,45 +1,18 @@
-"""Shared-memory transport tests: slab-ring accounting, pack/unpack,
-queue fallbacks, crash recovery, affinity planning, and teardown.
-
-The transport's contract is that it moves *bytes*, never decisions:
-any mix of shm and queue batches — including slot exhaustion, forced
-queue mode, mid-flight worker crashes, and shm being unavailable —
-must produce results bit-identical to a single-process
-:class:`~repro.runtime.DetectionEngine`, and stopping the service must
-leave nothing behind in ``/dev/shm``.
+"""Transport-argument tests: batches travel only over each shard's
+pickle queue, so ``transport="queue"`` serves bit-identically to a
+single-process :class:`~repro.runtime.DetectionEngine` and any other
+transport (or the removed ``slab_slots`` option) is refused up front.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 import pytest
 
 from conftest import build_serving_model
-from repro.runtime import (
-    DetectionEngine,
-    ShardedDetectionService,
-    SlabRing,
-    TransportError,
-    WorkerSlabs,
-    plan_worker_affinity,
-    shm_available,
-)
-from repro.runtime.transport import pack_arrays, unpack_arrays
+from repro.runtime import DetectionEngine, ShardedDetectionService
 
 _build_service_model = build_serving_model
-
-needs_shm = pytest.mark.skipif(
-    not shm_available(), reason="POSIX shared memory unavailable here"
-)
-
-
-def _shm_entries() -> set:
-    try:
-        return {f for f in os.listdir("/dev/shm") if f.startswith("psd")}
-    except FileNotFoundError:  # non-Linux: covered by shm probing tests
-        return set()
 
 
 @pytest.fixture(scope="module")
@@ -54,292 +27,7 @@ def _service(detector, **kwargs):
     return ShardedDetectionService(detector, **kwargs)
 
 
-@needs_shm
-class TestSlabRing:
-    def test_acquire_release_accounting(self):
-        ring = SlabRing(0, 3, 1024, 512)
-        try:
-            slots = [ring.acquire() for _ in range(3)]
-            assert sorted(slots) == [0, 1, 2]
-            assert ring.in_use == 3
-            assert ring.acquire() is None  # exhausted, never blocks
-            ring.release(slots[1])
-            assert ring.acquire() == slots[1]
-            with pytest.raises(TransportError, match="twice"):
-                ring.release(slots[0])
-                ring.release(slots[0])
-            with pytest.raises(TransportError, match="range"):
-                ring.release(99)
-        finally:
-            ring.destroy()
-
-    def test_roundtrip_through_worker_views(self):
-        """Parent write -> attach-side view -> pack -> parent read is
-        the exact byte path a batch takes; it must be lossless."""
-        rng = np.random.default_rng(0)
-        batch = rng.standard_normal((4, 3, 5, 5))
-        ring = SlabRing(1, 2, batch.nbytes, batch.nbytes + 1024)
-        worker = None
-        try:
-            worker = WorkerSlabs(*ring.attach_message())
-            slot = ring.acquire()
-            crc = ring.write_input(slot, batch)
-            view = worker.input_view(slot, batch.shape, batch.dtype.str, crc)
-            assert np.array_equal(view, batch)
-            outputs = {
-                "scores": rng.standard_normal(4),
-                "flags": np.array([True, False, True, True]),
-                "classes": np.arange(4, dtype=np.int64),
-            }
-            packed = worker.pack_output(slot, outputs)
-            view = None  # drop the slot view before closing the slabs
-            assert packed is not None
-            spec, out_crc = packed
-            unpacked = ring.read_output(slot, spec, out_crc)
-            for key, arr in outputs.items():
-                assert np.array_equal(unpacked[key], arr)
-                assert unpacked[key].dtype == arr.dtype
-            ring.release(slot)
-        finally:
-            if worker is not None:
-                worker.close()
-            ring.destroy()
-
-    def test_oversized_batch_and_overflow_are_refused(self):
-        ring = SlabRing(2, 1, 256, 256)
-        try:
-            big = np.zeros(1024)
-            assert not ring.fits(big.nbytes)
-            slot = ring.acquire()
-            with pytest.raises(TransportError, match="exceeds"):
-                ring.write_input(slot, big)
-        finally:
-            ring.destroy()
-
-    def test_spill_splits_rows_across_slots_losslessly(self):
-        """An oversized batch spills on row boundaries; worker-side
-        views over the spilled slots must reassemble it exactly."""
-        rng = np.random.default_rng(7)
-        batch = rng.standard_normal((5, 3, 4))  # 5 rows x 96 B
-        row_bytes = batch.nbytes // 5
-        ring = SlabRing(4, 4, 2 * row_bytes, 4096)  # 2 rows per slot
-        worker = None
-        try:
-            assert not ring.fits(batch.nbytes)
-            spilled = ring.spill_input(batch)
-            assert spilled is not None
-            slots, shapes, crcs = spilled
-            assert len(slots) == 3  # ceil(5 / 2)
-            assert [s[0] for s in shapes] == [2, 2, 1]
-            assert ring.in_use == 3
-            worker = WorkerSlabs(*ring.attach_message())
-            views = worker.input_views(slots, shapes, batch.dtype.str, crcs)
-            assert np.array_equal(np.concatenate(views), batch)
-            views = None
-            for slot in slots:
-                ring.release(slot)
-            assert ring.in_use == 0
-        finally:
-            if worker is not None:
-                worker.close()
-            ring.destroy()
-
-    def test_spill_slot_shortage_returns_none_without_leaking(self):
-        ring = SlabRing(5, 2, 64, 1024)  # two 64 B slots
-        try:
-            with pytest.raises(TransportError, match="slots"):
-                ring.spill_input(np.zeros((4, 8)))  # needs 4 of 2 slots
-            held = ring.acquire()  # leave only one slot free
-            batch = np.arange(16, dtype=np.float64).reshape(2, 8)
-            assert ring.spill_input(batch) is None  # needs 2, one free
-            # the tentatively-acquired slot was released, not leaked
-            assert ring.in_use == 1
-            ring.release(held)
-            slots, shapes, _crcs = ring.spill_input(batch)
-            assert len(slots) == 2
-            assert [s[0] for s in shapes] == [1, 1]
-        finally:
-            ring.destroy()
-
-    def test_spill_rejects_unspillable_batches(self):
-        ring = SlabRing(6, 4, 64, 1024)
-        try:
-            with pytest.raises(TransportError, match="exceed"):
-                ring.spill_input(np.zeros((4, 32)))  # 256 B rows
-            with pytest.raises(TransportError, match="row axis"):
-                ring.spill_input(np.zeros(100))  # no row axis
-            with pytest.raises(TransportError, match="row axis"):
-                ring.spill_input(np.zeros((1, 100)))  # nothing to split
-        finally:
-            ring.destroy()
-
-    def test_destroy_unlinks_and_is_idempotent(self):
-        ring = SlabRing(3, 2, 1024, 1024)
-        names = {ring.input_name, ring.output_name}
-        assert names <= _shm_entries()
-        ring.destroy()
-        ring.destroy()
-        assert not (names & _shm_entries())
-        assert ring.acquire() is None  # a destroyed ring hands out nothing
-
-    def test_pack_arrays_overflow_returns_none(self):
-        buf = memoryview(bytearray(64))
-        assert pack_arrays(buf, {"a": np.zeros(100)}) is None
-        spec = pack_arrays(buf, {"a": np.arange(4, dtype=np.int64)})
-        assert spec is not None
-        assert np.array_equal(
-            unpack_arrays(buf, spec)["a"], np.arange(4, dtype=np.int64)
-        )
-
-
-class TestAffinityPlanning:
-    def test_plan_partitions_disjointly(self):
-        plan = plan_worker_affinity(2, available=[0, 1, 2, 3])
-        assert plan == [(0, 2), (1, 3)]
-        assert not set(plan[0]) & set(plan[1])
-
-    def test_plan_wraps_when_workers_exceed_cpus(self):
-        plan = plan_worker_affinity(4, available=[0, 1])
-        assert plan == [(0,), (1,), (0,), (1,)]
-
-    def test_plan_validates_and_degrades(self):
-        with pytest.raises(ValueError):
-            plan_worker_affinity(0)
-        if hasattr(os, "sched_getaffinity"):
-            assert plan_worker_affinity(1) is not None
-            assert plan_worker_affinity(3, available=[]) is None
-
-
 class TestTransportService:
-    @needs_shm
-    def test_shm_is_bit_identical_to_queue_and_engine(
-        self, serving_detector, engine_reference
-    ):
-        xs, reference = engine_reference
-        for workers in (1, 2):
-            for transport in ("queue", "shm"):
-                with _service(
-                    serving_detector, num_workers=workers,
-                    transport=transport,
-                ) as service:
-                    result = service.run(xs)
-                    stats = service.transport_stats()
-                assert np.array_equal(result.scores, reference.scores)
-                assert np.array_equal(
-                    result.is_adversarial, reference.is_adversarial
-                )
-                assert np.array_equal(
-                    result.similarities, reference.similarities
-                )
-                assert stats["transport"] == transport
-                if transport == "shm":
-                    assert stats["shm_batches"] > 0
-                    assert stats["shm_bytes_in"] > 0
-                    assert stats["shm_bytes_out"] > 0
-                else:
-                    assert stats["shm_batches"] == 0
-
-    @needs_shm
-    def test_grown_samples_spill_and_stay_bit_identical(
-        self, serving_detector, engine_reference
-    ):
-        """Slabs are sized from the first batch's sample shape; a later
-        workload with bigger samples must spill each chunk across
-        several slots — still zero-copy, still bit-identical — instead
-        of abandoning shm."""
-        xs, reference = engine_reference
-        with _service(
-            serving_detector, num_workers=1, transport="shm",
-        ) as service:
-            # size the slabs from float32 samples (half the row bytes)
-            service.run(xs.astype(np.float32), timeout=120)
-            sized = service.transport_stats()
-            # ...then serve the float64 workload: every chunk is now
-            # twice a slot, so it rides the spill path
-            result = service.run(xs, timeout=120)
-            stats = service.transport_stats()
-        assert sized["spill_batches"] == 0
-        assert stats["spill_batches"] > 0
-        assert stats["spill_slots"] >= 2 * stats["spill_batches"]
-        assert stats["size_fallbacks"] == 0
-        assert np.array_equal(result.scores, reference.scores)
-        assert np.array_equal(
-            result.is_adversarial, reference.is_adversarial
-        )
-        assert np.array_equal(result.similarities, reference.similarities)
-
-    @needs_shm
-    def test_slot_exhaustion_falls_back_without_deadlock(
-        self, serving_detector, engine_reference
-    ):
-        """A one-slot ring cannot carry 8 chunks; the overflow must ride
-        the queue (bounded time, bit-identical), never block dispatch."""
-        xs, reference = engine_reference
-        with _service(
-            serving_detector, num_workers=1, transport="shm", slab_slots=1,
-        ) as service:
-            result = service.run(xs, timeout=120)
-            stats = service.transport_stats()
-        assert np.array_equal(result.scores, reference.scores)
-        assert stats["slot_fallbacks"] > 0
-        assert stats["queue_batches"] > 0
-        assert stats["shm_batches"] > 0  # the slot did get used too
-
-    @needs_shm
-    def test_crash_mid_slot_reclaims_and_requeues(
-        self, serving_detector, engine_reference
-    ):
-        """Killing a worker while its batches sit in slab slots must
-        release those slots, requeue the batches, and still produce
-        bit-identical results — then tear down with nothing leaked."""
-        import time
-
-        xs, reference = engine_reference
-        before = _shm_entries()
-        service = _service(
-            serving_detector, num_workers=2, transport="shm",
-        )
-        with service:
-            service.run(xs)  # warm: both shards have live slabs
-            service.inject_crash()
-            result = service.run(xs, timeout=120)
-            assert np.array_equal(result.scores, reference.scores)
-            assert np.array_equal(
-                result.predicted_classes, reference.predicted_classes
-            )
-            deadline = time.monotonic() + 30.0
-            while time.monotonic() < deadline and (
-                service.restarts < 1 or service.alive_workers < 2
-            ):
-                time.sleep(0.05)
-            assert service.restarts >= 1
-            # the healed pool serves over shm again
-            assert np.array_equal(service.run(xs).scores, reference.scores)
-            assert service.transport_stats()["shm_batches"] > 0
-        assert _shm_entries() <= before
-
-    @needs_shm
-    def test_stop_unlinks_every_segment(
-        self, serving_detector, engine_reference
-    ):
-        xs, _ = engine_reference
-        before = _shm_entries()
-        service = _service(serving_detector, num_workers=2, transport="shm")
-        service.start()
-        service.run(xs)
-        with service._lock:
-            names = {
-                name
-                for shard in service._shards.values()
-                if shard.slabs is not None
-                for name in (shard.slabs.input_name, shard.slabs.output_name)
-            }
-        assert names, "shm run should have created slabs"
-        assert names <= _shm_entries()
-        service.stop()
-        assert not (names & _shm_entries())
-        assert _shm_entries() <= before
-
     def test_queue_transport_is_forced(
         self, serving_detector, engine_reference
     ):
@@ -348,100 +36,14 @@ class TestTransportService:
             serving_detector, num_workers=1, transport="queue"
         ) as service:
             result = service.run(xs)
-            assert service.transport == "queue"
             stats = service.transport_stats()
         assert np.array_equal(result.scores, reference.scores)
         assert stats["shm_batches"] == 0
         assert stats["queue_batches"] > 0
-        assert stats["shards_with_slabs"] == 0
+        assert stats["queue_batches"] == len(result.chunk_shards)
 
     def test_unknown_transport_rejected(self, serving_detector):
         with pytest.raises(ValueError, match="transport"):
             _service(serving_detector, transport="tcp")
-        with pytest.raises(ValueError, match="slab_slots"):
+        with pytest.raises(TypeError, match="slab_slots"):
             _service(serving_detector, slab_slots=0)
-
-    def test_slab_creation_failure_degrades_to_queue(
-        self, serving_detector, engine_reference, monkeypatch
-    ):
-        """When the slab ring cannot be built (no /dev/shm, quota,
-        read-only mount, ...) the service keeps serving over the queue
-        instead of failing the request."""
-        import repro.runtime.service as service_module
-
-        def broken_ring(*args, **kwargs):
-            raise OSError("no shared memory for you")
-
-        monkeypatch.setattr(service_module, "SlabRing", broken_ring)
-        xs, reference = engine_reference
-        with _service(
-            serving_detector, num_workers=1, transport="shm"
-        ) as service:
-            result = service.run(xs, timeout=120)
-            stats = service.transport_stats()
-        assert np.array_equal(result.scores, reference.scores)
-        assert stats["shm_batches"] == 0
-        assert stats["queue_batches"] > 0
-
-    @needs_shm
-    def test_worker_attach_failure_degrades_to_queue(
-        self, serving_detector, engine_reference, monkeypatch
-    ):
-        """A worker that cannot attach the slabs rejects descriptors;
-        the parent must pin that shard to the queue (never re-offer the
-        shm path into a reject livelock) and still complete."""
-        import multiprocessing as mp
-
-        import repro.runtime.service as service_module
-
-        if "fork" not in mp.get_all_start_methods():
-            pytest.skip("monkeypatching the worker needs fork inheritance")
-
-        class BrokenWorkerSlabs:
-            def __init__(self, *args, **kwargs):
-                raise OSError("attach denied")
-
-        # fork workers inherit the patched module, so the attach fails
-        # on the worker side while the parent builds slabs normally
-        monkeypatch.setattr(
-            service_module, "WorkerSlabs", BrokenWorkerSlabs
-        )
-        xs, reference = engine_reference
-        with _service(
-            serving_detector, num_workers=1, transport="shm",
-            start_method="fork",
-        ) as service:
-            result = service.run(xs, timeout=60)
-            stats = service.transport_stats()
-        assert np.array_equal(result.scores, reference.scores)
-        assert stats["queue_batches"] > 0
-        assert stats["shards_with_slabs"] == 0  # reclaimed on reject
-        assert _shm_entries() == set()
-
-    def test_pinned_workers_serve_bit_identically(
-        self, serving_detector, engine_reference
-    ):
-        import time
-
-        xs, reference = engine_reference
-        with _service(
-            serving_detector, num_workers=2, pin_workers=True
-        ) as service:
-            result = service.run(xs)
-            assert np.array_equal(result.scores, reference.scores)
-            if service._affinity_plan is None:
-                return  # platform cannot pin; nothing more to check
-            # a replacement must take over the dead shard's CPU share,
-            # keeping the live shards' plan slots disjoint
-            service.inject_crash()
-            service.run(xs)
-            deadline = time.monotonic() + 30.0
-            while time.monotonic() < deadline and (
-                service.restarts < 1 or service.alive_workers < 2
-            ):
-                time.sleep(0.05)
-            with service._lock:
-                slots = sorted(
-                    service._affinity_slots[sid] for sid in service._shards
-                )
-            assert slots == [0, 1]
