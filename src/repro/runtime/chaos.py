@@ -124,9 +124,12 @@ class ChaosPlan:
                 "crash",
                 at_request=rng.randrange(third + 1, 2 * third + 1),
             ),
+            # the drop comes last, after the crash and the hang, so it
+            # lands on a shard no reap recovers: only task_timeout
+            # redelivery can bring that batch back
             FaultSpec(
                 "drop",
-                at_request=rng.randrange(third + 1, 2 * third + 1),
+                at_request=rng.randrange(2 * third + 1, num_requests),
                 arg=1,
             ),
         ]
@@ -343,6 +346,9 @@ def run_chaos_drill(
         # the crash-reap and the watchdog hung-reap both actually ran
         and fault_stats["dead_reaps"] >= 2
         and fault_stats["hung_reaps"] >= 1
+        # the dropped batch came back through in-flight redelivery
+        and fault_stats["descriptor_drops"] >= 1
+        and fault_stats["redelivered_tasks"] >= 1
         and plan.slow_request_fraction >= 0.2
     )
     passed = lost == 0 and mismatches == 0 and storm_complete

@@ -34,8 +34,9 @@ multi-user traffic can reach the engine:
   (``conflict``) — promote a replacement first.
 * ``GET /v1/stats`` — service throughput/latency accounting, server
   counters (global and per request class), per-model sections with
-  per-class queue-wait percentiles, and the per-(model, class)
-  adaptive controller states.
+  per-class queue-wait percentiles, the per-(model, class)
+  adaptive controller states, and each shard worker's OpenBLAS thread
+  count.
 * ``GET /healthz`` — 200 while at least one worker is alive and the
   server is accepting traffic; 503 during worker-pool outage or drain.
 
@@ -620,6 +621,7 @@ class DetectionHTTPServer:
         # without the dispatcher-side recording)
         wait_fn = getattr(self.service, "class_wait_stats", None)
         class_waits = wait_fn() if callable(wait_fn) else {}
+        blas_fn = getattr(self.service, "blas_threads", None)
         classes = {
             name: {
                 **cls.snapshot(),
@@ -642,6 +644,7 @@ class DetectionHTTPServer:
                 getattr(self.service, "alive_workers", 0)
             ),
             "restarts": int(getattr(self.service, "restarts", 0)),
+            "blas_threads": blas_fn() if callable(blas_fn) else {},
             "default_model": getattr(self.service, "default_model", None),
             "models": models,
             "classes": classes,

@@ -80,6 +80,7 @@ from repro.runtime.sharding import (
     plan_worker_affinity,
 )
 from repro.runtime.stats import ThroughputStats
+from repro.runtime.threads import cpu_share, limit_blas_threads
 
 __all__ = [
     "ServiceError",
@@ -142,9 +143,13 @@ def _worker_main(
     result_queue,
     heartbeat=None,
     pin_cpus: Optional[Tuple[int, ...]] = None,
+    blas_budget: int = 1,
 ) -> None:
     """Shard process entry point: rebuild one engine per broadcast
     model, then serve model-keyed micro-batches until told to stop."""
+    # before any engine exists: the pool's BLAS threads must not
+    # outnumber its CPUs
+    blas_threads = limit_blas_threads(blas_budget)
     if pin_cpus:
         # Pin before warming caches so they live on the pinned core;
         # best-effort — a shrunken cgroup mask must not kill the shard.
@@ -163,7 +168,7 @@ def _worker_main(
     except Exception as exc:  # startup failure is fatal for this shard
         result_queue.put(("fatal", worker_id, repr(exc)))
         return
-    result_queue.put(("ready", worker_id, None))
+    result_queue.put(("ready", worker_id, {"blas_threads": blas_threads}))
     slow_delay = 0.0
     while True:
         # Heartbeat-bounded get: an idle worker still proves liveness
@@ -306,6 +311,12 @@ class _Shard:
     dispatched_batches: int = 0
     stopping: bool = False
     broken: bool = False
+    # OpenBLAS thread count the worker reported in its "ready" message
+    # (None: it could not set one)
+    blas_threads: Optional[int] = None
+    # a crash or hang was injected: its reap will requeue everything
+    # in flight, so an injected drop must not land here
+    faulted: bool = False
     # model keys this worker holds engines for: seeded at spawn, grown
     # by "loaded" acks during hot-swap (read by load_model's barrier)
     loaded_models: set = field(default_factory=set)
@@ -464,6 +475,10 @@ class ShardedDetectionService:
         ``os.sched_setaffinity`` at worker startup) so the OS cannot
         migrate shards — and their warm caches — across cores.
         Best-effort no-op on platforms without affinity support.
+        Either way every worker lowers its OpenBLAS thread count to its
+        CPU share at startup (``len`` of its pinned set, else this
+        process's CPUs // ``num_workers``, at least 1), so the pool
+        never runs more BLAS threads than it has CPUs.
     backend:
         Accepted only as ``None`` or ``"numpy"`` (the one kernel
         implementation); anything else raises ``ValueError``.
@@ -563,6 +578,9 @@ class ShardedDetectionService:
         self._affinity_plan = (
             plan_worker_affinity(num_workers) if self.pin_workers else None
         )
+        # BLAS threads per unpinned worker; a pinned worker gets one per
+        # CPU of its share instead
+        self._blas_budget = cpu_share(num_workers)
         # shard_id -> plan slot, so a replacement takes over the CPU
         # share of the shard it replaces (never a live shard's)
         self._affinity_slots: Dict[int, int] = {}
@@ -1222,6 +1240,16 @@ class ShardedDetectionService:
                 for shard_id, stats in self._shard_stats.items()
             }
 
+    def blas_threads(self) -> Dict[int, Optional[int]]:
+        """OpenBLAS threads per ready shard, as each worker reported it
+        (``None`` where the worker could not set a count)."""
+        with self._lock:
+            return {
+                shard.shard_id: shard.blas_threads
+                for shard in self._shards.values()
+                if shard.ready.is_set()
+            }
+
     def class_wait_stats(self) -> Dict[str, dict]:
         """Enqueue→dispatch wait percentiles per request class, over a
         sliding window of the last ``WAIT_WINDOW`` dispatches.  Values
@@ -1285,6 +1313,7 @@ class ShardedDetectionService:
         with self._lock:
             shard = self._pick_shard_locked(shard_id, "crash")
             shard.task_queue.put(("crash",))
+            shard.faulted = True
             self._fault_counts["injected_crashes"] += 1
             return shard.shard_id
 
@@ -1296,6 +1325,7 @@ class ShardedDetectionService:
         with self._lock:
             shard = self._pick_shard_locked(shard_id, "hang")
             shard.task_queue.put(("hang",))
+            shard.faulted = True
             self._fault_counts["injected_hangs"] += 1
             return shard.shard_id
 
@@ -1318,7 +1348,9 @@ class ShardedDetectionService:
         """Arm dropping of the next ``batches`` dispatch messages: the
         batch is accounted in flight but its message never reaches the
         worker.  Recovery needs ``task_timeout`` (in-flight
-        redelivery); without it the batch waits for a shard reap."""
+        redelivery); without it the batch waits for a shard reap.
+        Shards with an injected crash or hang are skipped: their reap
+        would recover the batch and hide whether redelivery works."""
         if batches < 1:
             raise ValueError("batches must be positive")
         with self._lock:
@@ -1358,6 +1390,7 @@ class ShardedDetectionService:
                 )
                 self._affinity_slots[shard_id] = slot
             pin_cpus = self._affinity_plan[slot]
+        blas_budget = len(pin_cpus) if pin_cpus else self._blas_budget
         with self._lock:
             # snapshot of every currently-served model (including any
             # hot-swapped since start), so replacements and late spawns
@@ -1373,6 +1406,7 @@ class ShardedDetectionService:
                 result_queue,
                 heartbeat,
                 pin_cpus,
+                blas_budget,
             ),
             name=f"detection-shard-{shard_id}",
             daemon=True,
@@ -1444,7 +1478,7 @@ class ShardedDetectionService:
                         shard.inflight[task.seq] = task
                         shard.inflight_samples += len(task.batch)
                         shard.dispatched_batches += 1
-                        if self._drop_next > 0:
+                        if self._drop_next > 0 and not shard.faulted:
                             # injected drop: the batch is accounted in
                             # flight but its message never reaches the
                             # worker
@@ -1526,6 +1560,7 @@ class ShardedDetectionService:
             progressed = True
             if kind == "ready":
                 with self._lock:
+                    shard.blas_threads = payload["blas_threads"]
                     shard.last_beat_at = time.monotonic()
                     self._spawn_seconds.append(
                         time.monotonic() - shard.spawned_at

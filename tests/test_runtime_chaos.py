@@ -15,6 +15,9 @@ import email.message
 import http.client
 import io
 import json
+import os
+import subprocess
+import sys
 import threading
 import time
 import urllib.error
@@ -79,6 +82,15 @@ class TestChaosPlan:
         # every fault is index-scheduled inside the stream
         for fault in plan.faults:
             assert 0 < fault.at_request <= plan.num_requests
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_storm_drops_after_the_crash_and_the_hang(self, seed):
+        """The drop lands on a shard no reap recovers, so the drill
+        proves task_timeout redelivery rather than a reap."""
+        plan = ChaosPlan.storm(seed=seed, num_requests=24)
+        at = {f.kind: f.at_request for f in plan.faults if f.kind != "slow"}
+        assert at["drop"] > max(at["crash"], at["hang"])
+        assert at["drop"] < plan.num_requests
 
     def test_storm_requires_enough_requests(self):
         with pytest.raises(ValueError, match="at least 6"):
@@ -345,6 +357,27 @@ class TestSelfHealing:
             assert stats["descriptor_drops"] == 1
             assert stats["redelivered_tasks"] >= 1
 
+    def test_descriptor_drop_skips_a_crashing_shard(
+        self, serving_detector, engine_reference
+    ):
+        """A drop armed right after a crash must not land on the
+        crashing shard, whose reap would recover the batch and hide
+        whether redelivery works."""
+        xs, reference = engine_reference
+        with _service(
+            serving_detector, num_workers=2, task_timeout=1.0,
+        ) as service:
+            service.run(xs)  # both shards warm
+            service.inject_crash(0)
+            service.inject_descriptor_drop(1)
+            result = service.run(xs, timeout=120)
+            assert np.array_equal(result.scores, reference.scores)
+            stats = _await_counters(
+                service, descriptor_drops=1, redelivered_tasks=1
+            )
+            assert stats["descriptor_drops"] == 1
+            assert stats["redelivered_tasks"] >= 1
+
     def test_injection_validation(self, serving_detector, engine_reference):
         xs, _ = engine_reference
         with _service(serving_detector, num_workers=1) as service:
@@ -384,3 +417,22 @@ class TestSelfHealing:
             assert stats["injected_slowdowns"] == 2
             assert stats["hung_reaps"] == 0
             assert service.restarts == 0
+
+
+class TestChaosDrill:
+    def test_smoke_drill_proves_redelivery(self, tmp_path):
+        """``repro chaos --smoke`` passes only when the dropped batch
+        came back through in-flight redelivery."""
+        report_path = tmp_path / "chaos.json"
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "chaos", "--smoke",
+             "--seed", "0", "--report", str(report_path)],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, timeout=600,
+        )
+        assert done.returncode == 0, done.stdout[-2000:] + done.stderr
+        report = json.loads(report_path.read_text())
+        assert report["storm_complete"] and report["passed"]
+        assert report["fault_stats"]["descriptor_drops"] >= 1
+        assert report["fault_stats"]["redelivered_tasks"] >= 1

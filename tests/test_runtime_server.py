@@ -263,7 +263,8 @@ class TestProtocol:
         stats = get_json(stub_server.url, "/v1/stats")
         assert set(stats) == {
             "service", "server", "adaptive", "alive_workers", "restarts",
-            "default_model", "models", "classes", "adaptive_classes",
+            "blas_threads", "default_model", "models", "classes",
+            "adaptive_classes",
         }
         assert stats["server"]["requests_total"] == 1
         assert stats["server"]["max_inflight"] == 1
@@ -416,6 +417,11 @@ class TestEndToEnd:
         post_detect(server.url, xs[:8])
         stats = get_json(server.url, "/v1/stats")
         assert stats["alive_workers"] == 2
+        # one OpenBLAS thread count per ready shard (JSON keys are str)
+        assert stats["blas_threads"] == {
+            str(shard): n for shard, n in service.blas_threads().items()
+        }
+        assert len(stats["blas_threads"]) == 2
         assert stats["service"]["samples"] >= 8
         assert stats["server"]["responses_200"] >= 1
 
