@@ -1,5 +1,5 @@
 """HTTP serving — closed-loop client throughput and latency over the
-network boundary, fixed-batch vs SLO-adaptive batching.
+network boundary.
 
 PR 3's sharded service only had an in-process submission queue; the
 HTTP front-end (``repro.runtime.server``) is the first real network
@@ -8,18 +8,11 @@ clients (each sends the next request the moment the previous response
 lands) drives ``POST /v1/detect`` and records wall-clock samples/sec
 plus request-latency percentiles (p50/p95/p99).
 
-Two serving modes are measured over identical traffic:
-
-* **fixed** — the service chunks at a constant micro-batch size;
-* **adaptive** — an :class:`~repro.runtime.AdaptiveBatcher` sizes
-  chunks from observed shard latencies under a latency SLO derived
-  from the fixed run (machine-relative, so the claim is portable).
-
-Three properties are enforced (RuntimeError, so smoke mode cannot
-relax them): HTTP responses are bit-identical to the single-process
-:class:`DetectionEngine` over the same samples, the adaptive batcher
-holds p95 *batch* latency under the SLO, and adaptive throughput stays
-within :data:`ADAPTIVE_THROUGHPUT_FLOOR` of fixed-batch throughput.
+The service chunks every request at one fixed micro-batch size
+(:data:`SERVICE_BATCH`).  HTTP responses must be bit-identical to the
+single-process :class:`DetectionEngine` over the same samples
+(RuntimeError, so smoke mode cannot relax it); ``scripts/perf_gate.py``
+gates the measured samples/sec against its committed baseline.
 
 Run standalone for the nightly JSON artifact::
 
@@ -55,16 +48,8 @@ DEFAULT_VARIANT = "FwAb"
 REQUEST_SIZE = 16
 #: Closed-loop client threads.
 CLIENTS = 4
-#: Micro-batch ceiling (fixed size for the fixed run; the adaptive
-#: run's cap).
+#: Micro-batch size the service chunks every request at.
 SERVICE_BATCH = 16
-#: The SLO handed to the adaptive run: this multiple of the *fixed*
-#: run's p95 batch latency (machine-relative), floored at 10 ms.
-SLO_FACTOR = 3.0
-SLO_FLOOR_MS = 10.0
-#: Adaptive throughput must stay within this fraction of fixed-batch
-#: throughput (the gate CI enforces via scripts/perf_gate.py).
-ADAPTIVE_THROUGHPUT_FLOOR = 0.8
 
 
 def _percentiles(latencies_ms) -> dict:
@@ -159,19 +144,6 @@ def run_closed_loop(
     return report
 
 
-def _serve(workbench, slo_ms, num_workers, batch_size, max_inflight=16):
-    service = workbench.service(
-        DEFAULT_VARIANT,
-        num_workers=num_workers,
-        batch_size=batch_size,
-        slo_ms=slo_ms,
-    )
-    service.start()
-    server = DetectionHTTPServer(service, max_inflight=max_inflight)
-    server.start()
-    return service, server
-
-
 def measure_http_serving(
     workbench,
     count: int = 256,
@@ -180,9 +152,9 @@ def measure_http_serving(
     batch_size: int = SERVICE_BATCH,
     num_workers: int = 2,
 ) -> dict:
-    """Fixed-batch vs SLO-adaptive closed-loop serving over one
-    traffic stream; includes the single-process engine's decisions as
-    the bit-identity reference."""
+    """Fixed-batch closed-loop serving over one traffic stream;
+    includes the single-process engine's decisions as the bit-identity
+    reference."""
     from repro.runtime import DetectionEngine, iter_microbatches
 
     detector = workbench.detector(DEFAULT_VARIANT)
@@ -193,8 +165,12 @@ def measure_http_serving(
     reference = engine.run(traffic)
     results = {"engine_scores": reference.scores}
 
-    # -- fixed batching -------------------------------------------------
-    service, server = _serve(workbench, None, num_workers, batch_size)
+    service = workbench.service(
+        DEFAULT_VARIANT, num_workers=num_workers, batch_size=batch_size,
+    )
+    service.start()
+    server = DetectionHTTPServer(service, max_inflight=16)
+    server.start()
     try:
         full = post_detect(server.url, traffic)
         results["fixed_scores"] = np.asarray(full["scores"])
@@ -208,92 +184,35 @@ def measure_http_serving(
     finally:
         server.close()
         service.stop()
-
-    # SLO derived from the fixed run, so the claim is machine-relative
-    slo_ms = max(
-        SLO_FLOOR_MS, SLO_FACTOR * results["fixed"]["p95_batch_ms"]
-    )
-    results["slo_ms"] = slo_ms
-
-    # -- adaptive batching ---------------------------------------------
-    service, server = _serve(workbench, slo_ms, num_workers, batch_size)
-    try:
-        full = post_detect(server.url, traffic)
-        results["adaptive_scores"] = np.asarray(full["scores"])
-        run_closed_loop(server.url, chunks, clients)  # converge + warm
-        report = run_closed_loop(server.url, chunks, clients)
-        report.pop("latencies_ms")
-        report["p95_batch_ms"] = (
-            service.stats().latency_percentile_ms(95.0)
-        )
-        report["controller"] = service.adaptive.snapshot()
-        results["adaptive"] = report
-    finally:
-        server.close()
-        service.stop()
-
-    results["adaptive_over_fixed"] = (
-        results["adaptive"]["samples_per_sec"]
-        / results["fixed"]["samples_per_sec"]
-        if results["fixed"]["samples_per_sec"] > 0
-        else 0.0
-    )
     return results
 
 
 def check_bit_identity(results) -> None:
-    """The network boundary must be invisible to decisions: both
-    serving modes' scores must equal the single-process engine's.
-    Shared with ``scripts/perf_gate.py`` so the contract lives once."""
-    for mode in ("fixed", "adaptive"):
-        if not np.array_equal(
-            results[f"{mode}_scores"], results["engine_scores"]
-        ):
-            raise RuntimeError(
-                f"HTTP {mode} serving changed detection scores"
-            )
-
-
-def check_http_serving(results) -> None:
-    """The three enforced properties (RuntimeError so smoke mode's
-    relaxed-assertion wrapper can never skip a regression)."""
-    check_bit_identity(results)
-    slo_ms = results["slo_ms"]
-    p95 = results["adaptive"]["p95_batch_ms"]
-    if p95 > slo_ms:
-        raise RuntimeError(
-            f"adaptive batcher missed the SLO: p95 batch latency "
-            f"{p95:.2f} ms > {slo_ms:.2f} ms"
-        )
-    ratio = results["adaptive_over_fixed"]
-    if ratio < ADAPTIVE_THROUGHPUT_FLOOR:
-        raise RuntimeError(
-            f"adaptive throughput {ratio:.2f}x of fixed is below the "
-            f"{ADAPTIVE_THROUGHPUT_FLOOR:.2f}x floor"
-        )
+    """The network boundary must be invisible to decisions: the served
+    scores must equal the single-process engine's.  Shared with
+    ``scripts/perf_gate.py`` so the contract lives once."""
+    if not np.array_equal(results["fixed_scores"], results["engine_scores"]):
+        raise RuntimeError("HTTP fixed serving changed detection scores")
 
 
 def render_http_table(results) -> str:
     from repro.eval import render_table
 
-    rows = []
-    for mode in ("fixed", "adaptive"):
-        report = results[mode]
-        rows.append((
-            mode,
-            f"{report['samples_per_sec']:.0f}",
-            f"{report['p50_ms']:.1f}",
-            f"{report['p95_ms']:.1f}",
-            f"{report['p99_ms']:.1f}",
-            f"{report['p95_batch_ms']:.2f}",
-            report["retries_429"],
-        ))
+    report = results["fixed"]
+    row = (
+        f"{report['samples_per_sec']:.0f}",
+        f"{report['p50_ms']:.1f}",
+        f"{report['p95_ms']:.1f}",
+        f"{report['p99_ms']:.1f}",
+        f"{report['p95_batch_ms']:.2f}",
+        report["retries_429"],
+    )
     return render_table(
         f"HTTP serving: {DEFAULT_VARIANT} on {DEFAULT_SCENARIO} "
-        f"(closed loop, SLO {results['slo_ms']:.1f} ms/batch)",
-        ["mode", "samples/s", "req p50 ms", "req p95 ms",
+        f"(closed loop, fixed batch {SERVICE_BATCH})",
+        ["samples/s", "req p50 ms", "req p95 ms",
          "req p99 ms", "batch p95 ms", "429 retries"],
-        rows,
+        [row],
     )
 
 
@@ -308,11 +227,7 @@ def test_http_serving(benchmark, smoke):
     )
     print()
     print(render_http_table(results))
-    print(f"adaptive/fixed throughput: "
-          f"{results['adaptive_over_fixed']:.2f}x "
-          f"(floor {ADAPTIVE_THROUGHPUT_FLOOR:.2f}x); final batch size "
-          f"{results['adaptive']['controller']['batch_size']}")
-    check_http_serving(results)
+    check_bit_identity(results)
 
 
 def _json_safe(results) -> dict:
@@ -362,9 +277,7 @@ def main(argv=None) -> int:
         clients=args.clients,
     )
     print(render_http_table(results))
-    print(f"adaptive/fixed throughput: "
-          f"{results['adaptive_over_fixed']:.2f}x")
-    check_http_serving(results)
+    check_bit_identity(results)
     if args.output:
         Path(args.output).write_text(
             json.dumps(_json_safe(results), indent=2) + "\n"

@@ -19,12 +19,10 @@ ratio-only by construction — it never compares absolute speed across
 machines — and is skipped outright on single-CPU hosts, where process
 parallelism cannot possibly deliver it.
 
-The HTTP front-end is gated the same two ways: closed-loop fixed and
-adaptive samples/sec are compared absolutely against the baseline's
-``http`` section, while the two hardware-independent claims — the
-adaptive batcher holding p95 batch latency under its (machine-derived)
-SLO, and adaptive throughput staying >= 80% of fixed-batch throughput
-— are enforced everywhere, including ``--ratio-only`` CI runners.
+The HTTP front-end's closed-loop fixed-batch samples/sec is compared
+absolutely against the baseline's ``http`` section, and its responses
+must be bit-identical to the single-process engine everywhere,
+including ``--ratio-only`` CI runners.
 
 The batched packed-word kernels
 (``benchmarks/bench_micro_primitives.measure_kernels``) have their
@@ -182,19 +180,16 @@ def run_http_bench() -> dict:
         check_bit_identity(results)
     except RuntimeError as exc:
         raise SystemExit(f"FATAL: {exc}") from exc
-    report = {
-        mode: {
-            "samples_per_sec": results[mode]["samples_per_sec"],
-            "request_p50_ms": results[mode]["p50_ms"],
-            "request_p95_ms": results[mode]["p95_ms"],
-            "request_p99_ms": results[mode]["p99_ms"],
-            "p95_batch_ms": results[mode]["p95_batch_ms"],
+    fixed = results["fixed"]
+    return {
+        "fixed": {
+            "samples_per_sec": fixed["samples_per_sec"],
+            "request_p50_ms": fixed["p50_ms"],
+            "request_p95_ms": fixed["p95_ms"],
+            "request_p99_ms": fixed["p99_ms"],
+            "p95_batch_ms": fixed["p95_batch_ms"],
         }
-        for mode in ("fixed", "adaptive")
     }
-    report["slo_ms"] = results["slo_ms"]
-    report["adaptive_over_fixed"] = results["adaptive_over_fixed"]
-    return report
 
 
 def run_suite_bench() -> dict:
@@ -292,15 +287,12 @@ def main(argv=None) -> int:
               f"{current_kernels[name]['rows_per_sec'] / 1e6:6.1f}M rows/s")
 
     print(f"perf gate: measuring HTTP closed-loop serving "
-          f"({HTTP_TRAFFIC} samples, fixed vs adaptive)...")
+          f"({HTTP_TRAFFIC} samples, fixed batch)...")
     current_http = run_http_bench()
-    for mode in ("fixed", "adaptive"):
-        row = current_http[mode]
-        print(f"  {mode:8s}: {row['samples_per_sec']:9.1f} samples/s, "
-              f"request p95 {row['request_p95_ms']:.1f} ms, "
-              f"batch p95 {row['p95_batch_ms']:.2f} ms")
-    print(f"  adaptive/fixed: {current_http['adaptive_over_fixed']:.2f}x "
-          f"(SLO {current_http['slo_ms']:.1f} ms/batch)")
+    row = current_http["fixed"]
+    print(f"  fixed   : {row['samples_per_sec']:9.1f} samples/s, "
+          f"request p95 {row['request_p95_ms']:.1f} ms, "
+          f"batch p95 {row['p95_batch_ms']:.2f} ms")
 
     print(f"perf gate: measuring scenario-suite smoke grid "
           f"({' '.join(SUITE_GATE_GRID)})...")
@@ -419,51 +411,26 @@ def main(argv=None) -> int:
                 )
 
     # -- HTTP serving envelope ------------------------------------------
-    from bench_http_serving import ADAPTIVE_THROUGHPUT_FLOOR
-
     http_baseline = baseline_file.get("http")
     if http_baseline is None:
         print("  (baseline has no http section; run --update to record "
               "one — absolute HTTP gates skipped)")
     else:
-        for mode in ("fixed", "adaptive"):
-            old = http_baseline[mode]["samples_per_sec"]
-            new = current_http[mode]["samples_per_sec"]
-            floor = old * (1.0 - args.tolerance)
-            if args.ratio_only:
-                print(f"  http {mode:8s}: {new:9.1f} vs baseline "
-                      f"{old:9.1f} (absolute gate skipped: --ratio-only)")
-                continue
+        old = http_baseline["fixed"]["samples_per_sec"]
+        new = current_http["fixed"]["samples_per_sec"]
+        floor = old * (1.0 - args.tolerance)
+        if args.ratio_only:
+            print(f"  http fixed   : {new:9.1f} vs baseline "
+                  f"{old:9.1f} (absolute gate skipped: --ratio-only)")
+        else:
             status = "ok" if new >= floor else "REGRESSION"
-            print(f"  http {mode:8s}: {new:9.1f} vs baseline "
+            print(f"  http fixed   : {new:9.1f} vs baseline "
                   f"{old:9.1f} (floor {floor:9.1f}) {status}")
             if new < floor:
                 failures.append(
-                    f"http {mode} serving: {new:.1f} samples/s < "
+                    f"http fixed serving: {new:.1f} samples/s < "
                     f"{floor:.1f} ({args.tolerance:.0%} below {old:.1f})"
                 )
-    # Hardware-independent claims, enforced everywhere (CI included):
-    # the adaptive batcher must hold its machine-derived SLO and stay
-    # within the throughput floor of fixed batching.
-    slo_ms = current_http["slo_ms"]
-    p95_batch = current_http["adaptive"]["p95_batch_ms"]
-    status = "ok" if p95_batch <= slo_ms else "REGRESSION"
-    print(f"  adaptive SLO hold: p95 batch {p95_batch:.2f} ms vs SLO "
-          f"{slo_ms:.2f} ms {status}")
-    if p95_batch > slo_ms:
-        failures.append(
-            f"adaptive batcher missed its SLO: p95 batch "
-            f"{p95_batch:.2f} ms > {slo_ms:.2f} ms"
-        )
-    ratio = current_http["adaptive_over_fixed"]
-    status = "ok" if ratio >= ADAPTIVE_THROUGHPUT_FLOOR else "REGRESSION"
-    print(f"  adaptive/fixed throughput: {ratio:.2f}x vs floor "
-          f"{ADAPTIVE_THROUGHPUT_FLOOR:.2f}x {status}")
-    if ratio < ADAPTIVE_THROUGHPUT_FLOOR:
-        failures.append(
-            f"adaptive throughput {ratio:.2f}x of fixed < floor "
-            f"{ADAPTIVE_THROUGHPUT_FLOOR:.2f}x"
-        )
 
     # -- scenario-suite accuracy envelope -------------------------------
     suite_baseline = baseline_file.get("suite")

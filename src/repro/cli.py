@@ -14,8 +14,7 @@ Commands
 ``throughput``  measure batched detection-engine throughput (per-model
                 with repeatable ``--model NAME=SPEC`` registrations)
 ``serve``       stream traffic through the sharded multi-worker service,
-                or expose it over HTTP (``--http PORT``) with optional
-                SLO-adaptive batching (``--slo-ms N``) and extra
+                or expose it over HTTP (``--http PORT``) with extra
                 models (``--model NAME=SPEC``, hot-swappable over
                 ``POST /v1/models``)
 ``explain``     saliency + per-layer divergence for a benign/attacked pair
@@ -495,7 +494,7 @@ def _serve_http(args, workbench, threshold, extra_models=()) -> None:
     service = workbench.service(
         args.variant, num_workers=args.workers,
         batch_size=args.batch_size, scheduler=args.scheduler,
-        threshold=threshold, slo_ms=args.slo_ms, pin_workers=args.pin,
+        threshold=threshold, pin_workers=args.pin,
     )
     for name, state, model_threshold in extra_models:
         service.load_model(
@@ -533,11 +532,10 @@ def _serve_http(args, workbench, threshold, extra_models=()) -> None:
     shutdown = threading.Event()
     for signum in (signal.SIGINT, signal.SIGTERM):
         signal.signal(signum, lambda *_: shutdown.set())
-    slo = (f"adaptive batching, SLO {args.slo_ms:.0f} ms/batch"
-           if args.slo_ms else f"fixed batch {args.batch_size}")
     models = ", ".join(service.registry.names())
     print(f"serving {args.scenario}/{args.variant} on {server.url} "
-          f"({args.workers} workers, {slo}; models: {models})")
+          f"({args.workers} workers, fixed batch {args.batch_size}; "
+          f"models: {models})")
     print(f"  POST {server.url}/v1/detect   (JSON or .npy body; "
           f"?model=NAME[@V], X-Repro-Class: interactive|standard|batch)")
     print(f"  GET  {server.url}/v1/models")
@@ -583,7 +581,7 @@ def cmd_serve(args) -> None:
     service = workbench.service(
         args.variant, num_workers=args.workers,
         batch_size=args.batch_size, scheduler=args.scheduler,
-        threshold=threshold, slo_ms=args.slo_ms, pin_workers=args.pin,
+        threshold=threshold, pin_workers=args.pin,
     )
     for name, state, model_threshold in extra_models:
         service.load_model(
@@ -861,16 +859,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("scenario")
     p.add_argument("--count", type=int, default=256)
     p.add_argument("--batch-size", type=int, default=32,
-                   help="micro-batch size each shard processes at once "
-                   "(the adaptive ceiling when --slo-ms is set)")
+                   help="micro-batch size each shard processes at once; "
+                   "every request is split into chunks of this size "
+                   "(default 32)")
     p.add_argument("--http", type=int, default=None, metavar="PORT",
                    help="serve over HTTP on this port instead of "
                    "streaming canned traffic (0 = ephemeral port)")
     p.add_argument("--host", default="127.0.0.1",
                    help="bind address for --http (default 127.0.0.1)")
-    p.add_argument("--slo-ms", type=float, default=None,
-                   help="per-batch latency SLO in ms; enables the "
-                   "adaptive batcher instead of fixed batch sizing")
     p.add_argument("--max-inflight", type=int, default=16,
                    help="HTTP backpressure bound: requests beyond this "
                    "many in flight get 429 (default 16)")
@@ -884,8 +880,9 @@ def build_parser() -> argparse.ArgumentParser:
                                         "cwl2", "jsma"], default="bim")
     p.add_argument("--attack-rate", type=float, default=0.33)
     p.add_argument("--fpr", type=float, default=0.1)
-    # not flags: perfbench/workload_http.py reads both defaults
-    p.set_defaults(func=cmd_serve, backend=None, transport=None)
+    # not flags: perfbench/workload_http.py reads all three defaults
+    p.set_defaults(func=cmd_serve, backend=None, transport=None,
+                   slo_ms=None)
 
     p = sub.add_parser(
         "suite", help="run a scenario grid, write per-scenario JSON "

@@ -2,16 +2,14 @@
 
 The paper's detector must keep up with inference-rate traffic; this
 package drives streaming workloads through the vectorized detection
-pipeline in micro-batches: :class:`MicroBatcher` shapes arrival
-streams into batches (:class:`AdaptiveBatcher` is its SLO-aware
-replacement, sizing batches from observed latencies),
-:class:`DetectionEngine` runs them through the packed-word detection
-kernels with warm canary caches, :class:`ShardedDetectionService` fans
+pipeline in fixed-size micro-batches: :class:`MicroBatcher` shapes
+arrival streams into batches, :class:`DetectionEngine` runs them
+through the packed-word detection kernels with warm canary caches, :class:`ShardedDetectionService` fans
 that engine out over a pool of worker processes (pluggable scheduling,
 ordered aggregation, crash recovery),
 :class:`ModelRegistry` gives that pool named+versioned multi-model
 routing with hot-swap (:mod:`repro.runtime.registry`, including the
-per-request :class:`RequestClass` SLO ladder),
+per-request :class:`RequestClass` priority ladder),
 :class:`DetectionHTTPServer` puts the stdlib HTTP network boundary on
 that service (validation, bounded class-aware 429 backpressure,
 graceful drain, per-model routing and ``/v1/models`` hot-swap),
@@ -34,7 +32,6 @@ from repro.runtime.chaos import (
     run_chaos_drill,
 )
 
-from repro.runtime.adaptive import AdaptiveBatcher
 from repro.runtime.batching import MicroBatcher, iter_microbatches
 from repro.runtime.engine import (
     DetectionEngine,
@@ -73,7 +70,6 @@ from repro.runtime.server import DetectionHTTPServer, RetryPolicy
 from repro.runtime.stats import StageTimer, ThroughputStats
 
 __all__ = [
-    "AdaptiveBatcher",
     "ChaosPlan",
     "DetectionHTTPServer",
     "FaultInjector",

@@ -18,7 +18,6 @@ from typing import Iterable, List, Optional
 import numpy as np
 
 from repro.core.detector import BatchDetectionResult, PtolemyDetector
-from repro.runtime.adaptive import AdaptiveBatcher
 from repro.runtime.batching import MicroBatcher, iter_microbatches
 from repro.runtime.stats import StageTimer, ThroughputStats
 
@@ -58,14 +57,6 @@ class DetectionEngine:
         Decision threshold applied to forest scores.
     batch_size:
         Micro-batch size for the streaming front-end and :meth:`run`.
-        With ``slo_ms`` set this becomes the adaptive ceiling instead.
-    slo_ms:
-        Optional per-batch latency objective.  When set, the engine
-        batches through an
-        :class:`~repro.runtime.adaptive.AdaptiveBatcher` that sizes
-        micro-batches from observed latencies to hold p95 under the
-        target (decisions are bit-identical either way — batch size
-        never changes outputs).
     keep_batch_results:
         Retain every :class:`BatchDetectionResult` (packed paths
         included) on the run result.  Off by default: serving only
@@ -77,7 +68,6 @@ class DetectionEngine:
         detector: PtolemyDetector,
         threshold: float = 0.5,
         batch_size: int = 64,
-        slo_ms: Optional[float] = None,
         keep_batch_results: bool = False,
     ):
         if batch_size < 1:
@@ -92,18 +82,7 @@ class DetectionEngine:
         self.keep_batch_results = keep_batch_results
         self.stats = ThroughputStats()
         self._run_stats: Optional[ThroughputStats] = None
-        self.adaptive: Optional[AdaptiveBatcher] = None
-        if slo_ms is not None:
-            self.adaptive = AdaptiveBatcher(
-                slo_ms,
-                max_batch=batch_size,
-                initial_batch=min(8, batch_size),
-            )
-            # the adaptive batcher carries the MicroBatcher surface, so
-            # the streaming front-end flushes at the moving target size
-            self._batcher = self.adaptive
-        else:
-            self._batcher = MicroBatcher(batch_size)
+        self._batcher = MicroBatcher(batch_size)
         self.last_batch_seconds = 0.0
         self.last_batch_stages: dict = {}
         # Warm the canary word-matrix cache now so the first batch does
@@ -147,8 +126,6 @@ class DetectionEngine:
         # instead of shipping whole ThroughputStats objects per result.
         self.last_batch_seconds = total
         self.last_batch_stages = dict(timer.seconds)
-        if self.adaptive is not None:
-            self.adaptive.observe(len(xs), total)
         return result
 
     # -- streaming front-end -------------------------------------------
@@ -173,12 +150,7 @@ class DetectionEngine:
 
     # -- bulk runs ------------------------------------------------------
     def run(self, xs: np.ndarray) -> EngineRunResult:
-        """Drive a whole workload through micro-batches (fixed size, or
-        latency-steered when the engine was built with ``slo_ms``)."""
-        if self.adaptive is not None:
-            # sizes are re-read per chunk, so each processed batch's
-            # observed latency steers the remaining splits
-            return self._collect(self.adaptive.iter_chunks(np.asarray(xs)))
+        """Drive a whole workload through ``batch_size`` micro-batches."""
         return self._collect(iter_microbatches(xs, self.batch_size))
 
     def run_stream(

@@ -12,13 +12,13 @@ small, deliberately dependency-free pieces:
   drains and retires the old version (``drain-and-replace``).  The
   registry itself never touches processes — it is the bookkeeping the
   service and the HTTP front-end share.
-* :class:`RequestClass` — the per-request priority/SLO classes
+* :class:`RequestClass` — the per-request priority classes
   (``interactive`` > ``standard`` > ``batch``).  A class steers three
   things: dispatch order inside the service (higher classes jump the
-  micro-batch queue), the SLO the per-(model, class) adaptive batcher
-  targets (``slo_scale``), and how early the HTTP front-end sheds the
-  class under backpressure (``admit_fraction`` of ``max_inflight`` —
-  the lowest class 429s first).
+  micro-batch queue), the HTTP front-end's per-request deadline
+  (``slo_scale`` of ``request_timeout``), and how early the front-end
+  sheds the class under backpressure (``admit_fraction`` of
+  ``max_inflight`` — the lowest class 429s first).
 
 Model specs are strings ``name`` or ``name@version`` (``version`` is a
 positive integer); bare names resolve to the serving version.
@@ -96,13 +96,13 @@ def parse_model_spec(spec: str) -> Tuple[str, Optional[int]]:
 
 @dataclass(frozen=True)
 class RequestClass:
-    """One priority/SLO class.
+    """One request class.
 
     ``priority`` orders dispatch inside the service (lower = served
-    first).  ``slo_scale`` multiplies the service's base SLO for this
-    class's adaptive batcher *and* the HTTP front-end's per-request
-    deadline — interactive traffic gets a tighter budget, batch
-    traffic a looser one.  ``admit_fraction`` is the share of the HTTP
+    first).  ``slo_scale`` multiplies the HTTP front-end's
+    ``request_timeout`` into this class's per-request deadline —
+    interactive traffic gets a tighter budget, batch traffic a looser
+    one.  ``admit_fraction`` is the share of the HTTP
     ``max_inflight`` budget the class may occupy before it is shed
     with 429 — lower classes saturate (and shed) first, so a burst of
     bulk traffic can never starve interactive requests.

@@ -34,9 +34,8 @@ multi-user traffic can reach the engine:
   (``conflict``) — promote a replacement first.
 * ``GET /v1/stats`` — service throughput/latency accounting, server
   counters (global and per request class), per-model sections with
-  per-class queue-wait percentiles, the per-(model, class)
-  adaptive controller states, and each shard worker's OpenBLAS thread
-  count.
+  per-class queue-wait percentiles, and each shard worker's OpenBLAS
+  thread count.
 * ``GET /healthz`` — 200 while at least one worker is alive and the
   server is accepting traffic; 503 during worker-pool outage or drain.
 
@@ -442,7 +441,7 @@ class DetectionHTTPServer:
     service:
         Anything with the service surface (``submit`` returning a
         future, ``stats()``, ``alive_workers``, ``restarts``, and
-        optionally ``adaptive``/``failure``) — in production the
+        optionally ``failure``) — in production the
         sharded service, in tests a stub.
     host / port:
         Bind address; port 0 picks an ephemeral port (read it back
@@ -606,17 +605,14 @@ class DetectionHTTPServer:
                 name: dict(counts)
                 for name, counts in self._class_counters.items()
             }
-        adaptive = getattr(self.service, "adaptive", None)
-        # per-model engine accounting + per-(model, class) controllers
-        # (empty for single-model stubs without the registry surface)
+        # per-model engine accounting (empty for single-model stubs
+        # without the registry surface)
         models = {}
-        adaptive_classes = {}
         if self._multi:
             models = {
                 spec: stats.report()
                 for spec, stats in self.service.model_stats().items()
             }
-            adaptive_classes = self.service.adaptive_snapshots()
         # per-class enqueue→dispatch wait percentiles (absent for stubs
         # without the dispatcher-side recording)
         wait_fn = getattr(self.service, "class_wait_stats", None)
@@ -637,9 +633,6 @@ class DetectionHTTPServer:
         return {
             "service": self.service.stats().report(),
             "server": server,
-            "adaptive": (
-                adaptive.snapshot() if adaptive is not None else None
-            ),
             "alive_workers": int(
                 getattr(self.service, "alive_workers", 0)
             ),
@@ -648,7 +641,6 @@ class DetectionHTTPServer:
             "default_model": getattr(self.service, "default_model", None),
             "models": models,
             "classes": classes,
-            "adaptive_classes": adaptive_classes,
         }
 
     def _count(self, key: str) -> None:
@@ -855,8 +847,7 @@ class DetectionHTTPServer:
             release()
             self.send_error_json(handler, 400, "bad_request", str(exc))
             return
-        # class-aware deadline: interactive gets a tighter budget than
-        # batch, mirroring the per-class SLO scaling in the service
+        # class-aware deadline: interactive gets a tighter budget
         deadline = self.request_timeout * cls.slo_scale
         try:
             result = future.result(timeout=deadline)

@@ -39,8 +39,8 @@ Guarantees:
   ``"default"`` and is bit-identical to the pre-registry service.
   Requests also carry a :class:`~repro.runtime.registry.RequestClass`
   (``interactive``/``standard``/``batch``): higher classes jump the
-  dispatch queue and batches form per (model, class) with
-  class-scaled SLOs.
+  dispatch queue.  Every request is chunked at the one fixed
+  ``batch_size``, whatever its model or class.
 """
 
 from __future__ import annotations
@@ -59,7 +59,6 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from repro.core.serialization import detector_from_state, detector_to_state
-from repro.runtime.adaptive import AdaptiveBatcher
 from repro.runtime.batching import iter_microbatches
 from repro.runtime.registry import (
     DEFAULT_CLASS,
@@ -453,12 +452,8 @@ class ShardedDetectionService:
         ``"round-robin"`` (default), ``"least-loaded"``, or a
         :class:`ShardScheduler` instance.
     slo_ms:
-        Optional per-batch latency objective.  When set, requests are
-        chunked by an :class:`~repro.runtime.adaptive.AdaptiveBatcher`
-        (fed from every shard's per-batch latencies) instead of at the
-        fixed ``batch_size``; ``batch_size`` becomes the adaptive
-        ceiling.  Chunk sizing never changes decisions — the kernels
-        are bit-identical across batch sizes.
+        Accepted only as ``None`` (requests are always chunked at the
+        fixed ``batch_size``); anything else raises ``ValueError``.
     max_restarts:
         Total worker respawns allowed over the service lifetime
         (default: ``num_workers``); the pool keeps serving with fewer
@@ -528,6 +523,12 @@ class ShardedDetectionService:
             raise ValueError("hang_timeout must be positive (or None)")
         if task_timeout is not None and task_timeout <= 0:
             raise ValueError("task_timeout must be positive (or None)")
+        # perfbench/workload_http.py passes slo_ms=defaults.slo_ms
+        if slo_ms is not None:
+            raise ValueError(
+                f"slo_ms={slo_ms!r} is not supported; requests are "
+                "chunked at the fixed batch_size"
+            )
         # perfbench/workload_http.py passes transport=defaults.transport
         if transport not in (None, "queue"):
             raise ValueError(
@@ -606,20 +607,6 @@ class ShardedDetectionService:
         self._class_waits: Dict[str, deque] = {
             name: deque(maxlen=WAIT_WINDOW) for name in REQUEST_CLASSES
         }
-        self._slo_ms = slo_ms
-        # one AdaptiveBatcher per (model key, class name), lazily
-        # created with the class-scaled SLO; `adaptive` (back-compat)
-        # is the default model's standard-class controller
-        self._adaptive: Dict[
-            Tuple[Tuple[str, int], str], AdaptiveBatcher
-        ] = {}
-        if slo_ms is not None:
-            default_key = self.registry.resolve(None).key
-            self._adaptive[(default_key, DEFAULT_CLASS)] = AdaptiveBatcher(
-                slo_ms,
-                max_batch=batch_size,
-                initial_batch=min(8, batch_size),
-            )
         self._scheduler = make_scheduler(scheduler)
         self.max_restarts = (
             num_workers if max_restarts is None else max_restarts
@@ -780,46 +767,6 @@ class ShardedDetectionService:
     def default_model(self) -> Optional[str]:
         """Name requests without a ``model`` argument route to."""
         return self.registry.default_name
-
-    @property
-    def adaptive(self) -> Optional[AdaptiveBatcher]:
-        """The default model's standard-class adaptive batcher (the
-        pre-multi-model surface; ``None`` unless ``slo_ms`` was set).
-        Per-(model, class) controllers: :meth:`adaptive_snapshots`."""
-        if self._slo_ms is None:
-            return None
-        try:
-            key = self.registry.resolve(None).key
-        except (UnknownModelError, ValueError):
-            return None
-        return self._adaptive_for(key, REQUEST_CLASSES[DEFAULT_CLASS])
-
-    def _adaptive_for(
-        self, key: Tuple[str, int], cls: RequestClass
-    ) -> AdaptiveBatcher:
-        """The (model, class) batcher, created on first use with the
-        class-scaled SLO."""
-        with self._lock:
-            batcher = self._adaptive.get((key, cls.name))
-            if batcher is None:
-                batcher = AdaptiveBatcher(
-                    self._slo_ms * cls.slo_scale,
-                    max_batch=self.batch_size,
-                    initial_batch=min(8, self.batch_size),
-                )
-                self._adaptive[(key, cls.name)] = batcher
-            return batcher
-
-    def adaptive_snapshots(self) -> Dict[str, dict]:
-        """Controller state per ``name@version/class`` (empty without
-        ``slo_ms``)."""
-        with self._lock:
-            return {
-                f"{key[0]}@{key[1]}/{cls_name}": batcher.snapshot()
-                for (key, cls_name), batcher in sorted(
-                    self._adaptive.items()
-                )
-            }
 
     def model_stats(self) -> Dict[str, ThroughputStats]:
         """Lifetime engine-side accounting per served model version
@@ -1109,7 +1056,7 @@ class ShardedDetectionService:
 
         ``model`` is a ``name[@version]`` spec routed through the
         registry (``None`` → the default model); ``request_class`` is
-        an SLO class name (``None`` → ``standard``).
+        a request class name (``None`` → ``standard``).
 
         Raises :class:`ValueError` on malformed/empty input, a
         malformed model spec, or an unknown class;
@@ -1163,10 +1110,7 @@ class ShardedDetectionService:
         future = ServiceFuture()
         future.model = entry.spec
         future.request_class = cls.name
-        if self._slo_ms is not None:
-            chunks = list(self._adaptive_for(entry.key, cls).iter_chunks(xs))
-        else:
-            chunks = list(iter_microbatches(xs, self.batch_size))
+        chunks = list(iter_microbatches(xs, self.batch_size))
         with self._lock:
             request = _Request(
                 request_id=self._request_counter,
@@ -1618,13 +1562,6 @@ class ShardedDetectionService:
                 payload["seconds"],
                 stages=payload["stages"],
             )
-            if self._slo_ms is not None:
-                # this request's (model, class) controller learns from
-                # every shard's engine-side latency, steering how
-                # future same-class requests are chunked
-                self._adaptive_for(request.key, request.cls).observe(
-                    payload["size"], payload["seconds"]
-                )
             request.chunks[chunk_index] = payload
             request.chunk_shards[chunk_index] = worker_id
             request.remaining -= 1

@@ -59,7 +59,7 @@ def build_serving_model():
 @pytest.fixture(scope="session")
 def serving_detector(small_dataset, trained_alexnet):
     """A fitted FwAb detector (the serving variant), shared by the
-    runtime server/adaptive test modules so each does not re-profile."""
+    runtime service/server test modules so each does not re-profile."""
     from repro.attacks import FGSM
     from repro.core import ExtractionConfig, PtolemyDetector, calibrate_phi
 

@@ -1,6 +1,8 @@
 """Tests for the evaluation harness, reporting helpers, and the CLI."""
 
 import os
+import re
+import shlex
 import signal
 import subprocess
 import sys
@@ -12,6 +14,34 @@ import pytest
 
 from repro.eval import SCENARIOS, Workbench, render_matrix, render_table
 from repro.eval.harness import _WORKBENCH_CACHE
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+def documented_cli_commands():
+    """``(label, argv)`` for every ``python -m repro.cli ...`` command in
+    README.md and the CI workflows, cut at the first shell operator
+    (redirect, pipe, background ``&``)."""
+    sources = [REPO / "README.md",
+               *sorted((REPO / ".github" / "workflows").glob("*.yml"))]
+    commands = []
+    for path in sources:
+        text = path.read_text().replace("\\\n", " ")
+        for line in text.splitlines():
+            _, marker, rest = line.partition("-m repro.cli ")
+            if not marker:
+                continue
+            argv = []
+            # a backtick ends an inline-code command in prose
+            for token in shlex.split(rest.split("`")[0], comments=True):
+                if re.match(r"\d*[|&;<>]", token):
+                    break
+                argv.append(token)
+            commands.append((f"{path.name}:{' '.join(argv)}", argv))
+    return commands
+
+
+DOCUMENTED_CLI_COMMANDS = documented_cli_commands()
 
 
 class TestScenarios:
@@ -182,6 +212,43 @@ class TestCli:
         with pytest.raises(SystemExit):
             parser.parse_args([command, "alexnet_imagenet",
                                "--backend", "numpy"])
+
+    def test_serve_has_no_slo_ms_flag(self):
+        from repro.cli import build_parser
+
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["serve", "alexnet_imagenet",
+                                       "--slo-ms", "50"])
+        assert exc.value.code == 2
+
+    def test_serve_keeps_slo_ms_default(self):
+        """Not a flag: perfbench's HTTP workload reads this default from
+        the serve parser and passes it to the service."""
+        from repro.cli import build_parser
+
+        args = build_parser().parse_args(["serve", "alexnet_imagenet"])
+        assert args.slo_ms is None
+
+    def test_docs_and_ci_have_cli_commands(self):
+        labels = [label for label, _ in DOCUMENTED_CLI_COMMANDS]
+        assert any(label.startswith("README.md") for label in labels)
+        assert any(label.startswith("ci.yml") for label in labels)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [argv for _, argv in DOCUMENTED_CLI_COMMANDS],
+        ids=[label for label, _ in DOCUMENTED_CLI_COMMANDS],
+    )
+    def test_documented_command_parses(self, argv):
+        """Every CLI command the README and CI show must parse (parse
+        only: nothing runs)."""
+        from repro.cli import build_parser
+
+        try:
+            build_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"documented command does not parse: "
+                        f"python -m repro.cli {shlex.join(argv)}")
 
     @pytest.mark.skipif(not Path("/proc/self/task").exists(),
                         reason="reads worker pids from /proc")

@@ -73,6 +73,24 @@ class TestMicroBatcher:
         assert list(iter_microbatches(xs[:0], 4)) == []
 
 
+class TestMicroBatcherFlushReset:
+    def test_flush_resets_even_on_failure(self):
+        """Regression: a failing flush (e.g. the final partial batch
+        rejected downstream) must still reset the buffer, or the next
+        stream inherits stale samples."""
+        batcher = MicroBatcher(8)
+        batcher.add(np.zeros(3))
+        batcher._pending.append(np.zeros(5))  # corrupt behind the guard
+        with pytest.raises(ValueError):
+            batcher.flush()
+        assert batcher.pending == 0
+        assert batcher.flush() is None
+        # the batcher is fully usable again
+        batcher.add(np.ones(4))
+        tail = batcher.flush()
+        assert tail.shape == (1, 4)
+
+
 class TestThroughputStats:
     def test_accounting(self):
         stats = ThroughputStats()

@@ -467,7 +467,6 @@ class _GatedService:
         self.alive_workers = 1
         self.restarts = 0
         self.failure = None
-        self.adaptive = None
         self.gate = threading.Event()
 
     def submit(self, xs):

@@ -65,7 +65,6 @@ class _StubService:
         self.alive_workers = 2
         self.restarts = 0
         self.failure = None
-        self.adaptive = None
         self.gate = threading.Event()
         self.gate.set()  # complete immediately unless a test holds it
         self.submitted = []
@@ -262,13 +261,11 @@ class TestProtocol:
         post_detect(stub_server.url, np.ones((3, 2)))
         stats = get_json(stub_server.url, "/v1/stats")
         assert set(stats) == {
-            "service", "server", "adaptive", "alive_workers", "restarts",
+            "service", "server", "alive_workers", "restarts",
             "blas_threads", "default_model", "models", "classes",
-            "adaptive_classes",
         }
         assert stats["server"]["requests_total"] == 1
         assert stats["server"]["max_inflight"] == 1
-        assert stats["adaptive"] is None
         assert "samples_per_sec" in stats["service"]
 
     def test_draining_refuses_new_work(self, stub, stub_server):
@@ -459,36 +456,6 @@ class TestEndToEnd:
         assert wait_for_health(server.url, timeout=10.0)
         out = post_detect(server.url, xs)
         assert np.array_equal(np.asarray(out["scores"]), reference.scores)
-
-
-class TestAdaptiveOverHTTP:
-    def test_adaptive_service_bit_identical_and_reported(
-        self, serving_detector, small_dataset
-    ):
-        """SLO-adaptive service behind HTTP: same decisions, and the
-        controller state shows up in /v1/stats."""
-        xs = small_dataset.x_test[:20]
-        reference = DetectionEngine(serving_detector, batch_size=8).run(xs)
-        service = ShardedDetectionService(
-            serving_detector,
-            model_factory=build_serving_model,
-            num_workers=1,
-            batch_size=8,
-            slo_ms=500.0,
-        )
-        service.start()
-        try:
-            with DetectionHTTPServer(service) as server:
-                out = post_detect(server.url, xs)
-                assert np.array_equal(
-                    np.asarray(out["scores"]), reference.scores
-                )
-                adaptive = get_json(server.url, "/v1/stats")["adaptive"]
-                assert adaptive is not None
-                assert adaptive["slo_ms"] == 500.0
-                assert adaptive["observations"] > 0
-        finally:
-            service.stop()
 
 
 class TestRequestEncoding:

@@ -41,14 +41,14 @@ from repro.runtime.service import _Shard
 
 
 # Worker-side model factory: a picklable module-level callable shared
-# with the server/adaptive test modules via conftest.
+# with the server test modules via conftest.
 _build_service_model = build_serving_model
 
 
 @pytest.fixture(scope="module")
 def service_detector(serving_detector):
     """The shared session-scoped serving detector (one profiling pass
-    feeds this module and the server/adaptive test modules)."""
+    feeds this module and the server test modules)."""
     return serving_detector
 
 
@@ -240,6 +240,31 @@ class TestShardedDetectionService:
                 service_detector,
                 model_factory=_build_service_model,
                 transport="shm",
+            )
+
+    def test_slo_ms_argument_accepts_only_none(
+        self, service_detector, engine_reference
+    ):
+        """``slo_ms`` survives only as ``None``: it serves bit-identically
+        at the fixed batch size, any value is refused up front."""
+        xs, reference = engine_reference
+        with ShardedDetectionService(
+            service_detector,
+            model_factory=_build_service_model,
+            num_workers=1,
+            batch_size=4,
+            slo_ms=None,
+        ) as service:
+            result = service.run(xs)
+        assert np.array_equal(result.scores, reference.scores)
+        assert np.array_equal(
+            result.is_adversarial, reference.is_adversarial
+        )
+        with pytest.raises(ValueError, match="slo_ms"):
+            ShardedDetectionService(
+                service_detector,
+                model_factory=_build_service_model,
+                slo_ms=50.0,
             )
 
     def test_stats_merge_across_shards(
@@ -532,30 +557,6 @@ class TestShardedDetectionService:
             # the pool is unaffected either way
             result = service.run(xs, timeout=120)
             assert np.array_equal(result.scores, reference.scores)
-
-    def test_adaptive_slo_service_is_bit_identical(
-        self, service_detector, engine_reference
-    ):
-        """SLO-adaptive chunking changes batch shapes, never decisions;
-        the controller must have learned from shard latencies."""
-        xs, reference = engine_reference
-        with ShardedDetectionService(
-            service_detector,
-            model_factory=_build_service_model,
-            num_workers=2,
-            batch_size=8,
-            slo_ms=500.0,
-        ) as service:
-            result = service.run(xs)
-            assert np.array_equal(result.scores, reference.scores)
-            assert np.array_equal(
-                result.is_adversarial, reference.is_adversarial
-            )
-            assert service.adaptive is not None
-            assert service.adaptive.observations > 0
-            snapshot = service.adaptive.snapshot()
-        assert snapshot["slo_ms"] == 500.0
-        assert 1 <= snapshot["batch_size"] <= 8
 
 
 class TestServiceErrors:
