@@ -4,6 +4,10 @@ Defaults follow the paper's deployment: 100 trees of average depth ~12,
 totalling roughly 2,000 operations per classification — five orders of
 magnitude below inference, cheap enough for the controller MCU
 (Sec. V-D).
+
+In software every tree is walked at once: the trees' flattened arrays
+are concatenated into one node table, and all (tree, row) pairs step
+down it together, one vectorised level per iteration.
 """
 
 from __future__ import annotations
@@ -35,7 +39,18 @@ class RandomForest:
         self.min_samples_leaf = min_samples_leaf
         self.max_features = max_features
         self.seed = seed
-        self.trees: List[DecisionTree] = []
+        self.trees = []
+
+    @property
+    def trees(self) -> List[DecisionTree]:
+        return self._trees
+
+    @trees.setter
+    def trees(self, trees: List[DecisionTree]) -> None:
+        # every assignment of new trees drops the node table built from
+        # the old ones
+        self._trees = trees
+        self._table = None
 
     def fit(self, x: np.ndarray, y: np.ndarray) -> "RandomForest":
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
@@ -45,7 +60,7 @@ class RandomForest:
         max_features = self.max_features
         if max_features is None:
             max_features = max(1, int(np.ceil(np.sqrt(x.shape[1]))))
-        self.trees = []
+        trees = []
         for _ in range(self.n_trees):
             sample = rng.integers(0, n, size=n)
             tree = DecisionTree(
@@ -55,17 +70,67 @@ class RandomForest:
                 rng=rng,
             )
             tree.fit(x[sample], y[sample])
-            self.trees.append(tree)
+            trees.append(tree)
+        self.trees = trees
         return self
+
+    def _node_table(self) -> dict:
+        """Every tree's :meth:`DecisionTree.flatten` arrays concatenated,
+        with global child indices and each leaf its own child (so a
+        finished walk stays put); ``roots`` holds each tree's offset."""
+        if self._table is None:
+            flats = [tree.flatten() for tree in self.trees]
+            roots = np.cumsum([0] + [f["feature"].size for f in flats[:-1]])
+
+            def joined(key: str) -> np.ndarray:
+                return np.concatenate([flat[key] for flat in flats])
+
+            leaf = joined("left") < 0
+
+            def child_of(key: str) -> np.ndarray:
+                child = np.concatenate(
+                    [flat[key] + root for flat, root in zip(flats, roots)]
+                )
+                return np.where(leaf, np.arange(leaf.size), child)
+
+            self._table = {
+                # leaves compare against column 0; both their children
+                # are themselves, so the outcome is discarded
+                "feature": np.where(leaf, 0, joined("feature")),
+                "threshold": joined("threshold"),
+                "probability": joined("probability"),
+                # child[2 * i + go_left]: node i's right child, then left
+                "child": np.stack(
+                    [child_of("right"), child_of("left")], axis=1
+                ).ravel(),
+                "leaf": leaf,
+                "roots": roots,
+            }
+        return self._table
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
         """Mean of per-tree leaf probabilities (adversary score)."""
         if not self.trees:
             raise RuntimeError("forest is not fitted")
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        probs = np.zeros(x.shape[0])
-        for tree in self.trees:
-            probs += tree.predict_proba(x)
+        table = self._node_table()
+        feature, threshold = table["feature"], table["threshold"]
+        child, leaf = table["child"], table["leaf"]
+        n_rows, n_features = x.shape
+        values = x.ravel()
+        row_offsets = np.arange(n_rows) * n_features
+        # node[t, r]: where row r currently sits in tree t
+        node = np.repeat(table["roots"][:, None], n_rows, axis=1)
+        while not leaf.take(node).all():
+            go_left = (
+                values.take(row_offsets + feature.take(node))
+                <= threshold.take(node)
+            )
+            node = child.take(2 * node + go_left)
+        # accumulate adds the trees' leaf probabilities one tree after
+        # another (no pairwise summation), so the total has the same
+        # bits as summing each tree's prediction in turn
+        probs = np.add.accumulate(table["probability"].take(node), axis=0)[-1]
         return probs / len(self.trees)
 
     def predict(self, x: np.ndarray) -> np.ndarray:

@@ -134,7 +134,8 @@ class DecisionTree:
         """Array form of the tree (preorder): parallel ``feature`` /
         ``threshold`` / ``left`` / ``right`` / ``probability`` arrays
         with ``left == -1`` marking leaves.  Built lazily and cached;
-        this is what the batched evaluator and serialization share."""
+        the forest's node table and serialization are both built from
+        it."""
         if self._root is None:
             raise RuntimeError("tree is not fitted")
         if self._flat is None:
@@ -172,20 +173,6 @@ class DecisionTree:
         if self._root is None:
             raise RuntimeError("tree is not fitted")
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        if x.shape[0] <= 8:
-            # tiny batches: a direct walk beats vectorization overhead
-            # (identical comparisons either way, so identical outputs)
-            out = np.empty(x.shape[0])
-            for i, row in enumerate(x):
-                node = self._root
-                while not node.is_leaf:
-                    node = (
-                        node.left
-                        if row[node.feature] <= node.threshold
-                        else node.right
-                    )
-                out[i] = node.probability
-            return out
         flat = self.flatten()
         feature, threshold = flat["feature"], flat["threshold"]
         left, right = flat["left"], flat["right"]

@@ -145,21 +145,22 @@ def _tree_to_lists(tree: DecisionTree) -> dict:
 
 
 def _tree_from_lists(data: dict, meta: dict) -> DecisionTree:
-    def build(idx: int):
+    tree = DecisionTree(max_depth=meta["max_depth"])
+
+    def build(idx: int, depth: int):
+        tree.depth = max(tree.depth, depth)
         node = _TreeNode(
             feature=int(data["feature"][idx]),
             threshold=float(data["threshold"][idx]),
             probability=float(data["probability"][idx]),
         )
         if data["left"][idx] >= 0:
-            node.left = build(int(data["left"][idx]))
-            node.right = build(int(data["right"][idx]))
+            node.left = build(int(data["left"][idx]), depth + 1)
+            node.right = build(int(data["right"][idx]), depth + 1)
         return node
 
-    tree = DecisionTree(max_depth=meta["max_depth"])
-    tree._root = build(0)
+    tree._root = build(0, 0)
     tree.node_count = len(data["feature"])
-    tree.depth = meta["max_depth"]
     return tree
 
 

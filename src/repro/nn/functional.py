@@ -1,8 +1,9 @@
 """Low-level numerical helpers shared by the layer implementations.
 
-The convolution layers are implemented with the classic im2col / col2im
-transformation so that both the forward pass and the backward pass reduce
-to dense matrix multiplications, which numpy executes efficiently.
+The pooling layers unfold their windows with :func:`im2col`; the
+convolution builds its GEMM operand directly (see
+:mod:`repro.nn.layers.conv`).  Both fold column gradients back with
+:func:`col2im`.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ def im2col_indices(
 
 
 def im2col(x: np.ndarray, kernel_h: int, kernel_w: int, stride: int, padding: int):
-    """Unfold ``x`` of shape (N, C, H, W) into columns.
+    """Unfold ``x`` of shape (N, C, H, W) into columns (pooling windows).
 
     Returns an array of shape ``(N, C*kh*kw, out_h*out_w)``.
     """
@@ -86,15 +87,26 @@ def col2im(
 
     ``cols`` has shape ``(N, C*kh*kw, out_h*out_w)``; the result has
     shape ``in_shape`` = (N, C, H, W).  This is the adjoint of
-    :func:`im2col` and is used for input gradients of convolutions.
+    :func:`im2col` and is used for input gradients of convolutions and
+    pooling.
     """
     batch, channels, height, width = in_shape
     padded_h, padded_w = height + 2 * padding, width + 2 * padding
+    out_h = conv_output_size(padded_h, kernel_h, stride, 0)
+    out_w = conv_output_size(padded_w, kernel_w, stride, 0)
     x_padded = np.zeros((batch, channels, padded_h, padded_w), dtype=cols.dtype)
-    k, i, j = im2col_indices(
-        (batch, channels, padded_h, padded_w), kernel_h, kernel_w, stride, 0
-    )
-    np.add.at(x_padded, (slice(None), k, i, j), cols)
+    cols = cols.reshape(batch, channels, kernel_h, kernel_w, out_h, out_w)
+    # One strided add per kernel offset, in ascending (ky, kx) order:
+    # every padded pixel receives its contributions in the same order,
+    # starting from 0.0, as an unbuffered scatter-add over the columns.
+    for ky in range(kernel_h):
+        for kx in range(kernel_w):
+            x_padded[
+                :,
+                :,
+                ky:ky + stride * out_h:stride,
+                kx:kx + stride * out_w:stride,
+            ] += cols[:, :, ky, kx]
     if padding > 0:
         return x_padded[:, :, padding:-padding, padding:-padding]
     return x_padded

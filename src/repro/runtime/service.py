@@ -54,6 +54,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
+from multiprocessing.connection import wait as wait_for_readers
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
@@ -94,6 +95,10 @@ __all__ = [
 #: hung only after ``hang_timeout`` seconds without a bump, so keep
 #: ``hang_timeout`` several multiples of this.
 HEARTBEAT_INTERVAL = 0.25
+
+#: Seconds between the collector's health checks (reap, requeue,
+#: respawn); the collector's blocking wait never outlasts the next one.
+HEALTH_CHECK_INTERVAL = 0.1
 
 #: Window of per-class enqueue→dispatch waits kept for percentiles.
 WAIT_WINDOW = 4096
@@ -1464,14 +1469,15 @@ class ShardedDetectionService:
             self._abort(ServiceError(f"collector crashed: {exc!r}"))
 
     def _collect_forever(self) -> None:
-        # Polls every shard's private result queue.  Health checks run
-        # on a clock, not only on queue idleness: under sustained
-        # traffic the queues are never all empty, and a dead shard's
-        # orphaned batches must still be requeued.
+        # Drains every shard's private result queue, then blocks until
+        # one of them has data or the next health check is due.  Health
+        # checks run on a clock, not only on queue idleness: under
+        # sustained traffic the queues are never all empty, and a dead
+        # shard's orphaned batches must still be requeued.
         last_health_check = time.monotonic()
         while not self._stop_event.is_set():
             now = time.monotonic()
-            if now - last_health_check >= 0.1:
+            if now - last_health_check >= HEALTH_CHECK_INTERVAL:
                 last_health_check = now
                 self._check_health()
             with self._lock:
@@ -1480,7 +1486,17 @@ class ShardedDetectionService:
             for shard in shards:
                 progressed |= self._drain_shard_results(shard)
             if not progressed:
-                time.sleep(0.002)
+                # broken shards are left out: an unreadable stream
+                # would wake the wait at once until the reap
+                wait_for_readers(
+                    [s.result_queue._reader for s in shards if not s.broken],
+                    max(
+                        0.0,
+                        last_health_check
+                        + HEALTH_CHECK_INTERVAL
+                        - time.monotonic(),
+                    ),
+                )
 
     def _drain_shard_results(self, shard: _Shard) -> bool:
         """Handle everything currently queued by one shard; returns

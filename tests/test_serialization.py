@@ -10,6 +10,7 @@ from repro.attacks import BIM
 from repro.core import (
     ExtractionConfig,
     PtolemyDetector,
+    RandomForest,
     config_from_dict,
     config_to_dict,
     load_class_paths,
@@ -17,6 +18,7 @@ from repro.core import (
     save_class_paths,
     save_detector,
 )
+from repro.core.serialization import forest_from_arrays, forest_to_arrays
 
 
 @pytest.fixture(scope="module")
@@ -130,3 +132,24 @@ class TestDetectorIO:
         assert restored.class_paths.num_classes == det.class_paths.num_classes
         with pytest.raises(RuntimeError):
             restored.score(small_dataset.x_test[:1])
+
+
+class TestForestArrays:
+    def test_round_trip_keeps_depth_ops_and_scores(self):
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(120, 2))
+        y = (x[:, 0] + 0.3 * rng.normal(size=120) > 0).astype(int)
+        forest = RandomForest(n_trees=15, max_depth=12, seed=2).fit(x, y)
+        assert max(tree.depth for tree in forest.trees) < forest.max_depth
+        meta = {"n_trees": forest.n_trees, "max_depth": forest.max_depth,
+                "seed": forest.seed}
+        restored = forest_from_arrays(forest_to_arrays(forest), meta)
+        assert [t.depth for t in restored.trees] == [
+            t.depth for t in forest.trees
+        ]
+        assert restored.average_depth() == forest.average_depth()
+        assert restored.operation_count() == forest.operation_count()
+        query = rng.normal(size=(33, 2))
+        assert restored.predict_proba(query).tobytes() == (
+            forest.predict_proba(query).tobytes()
+        )
