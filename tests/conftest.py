@@ -14,6 +14,14 @@ if str(_SRC) not in sys.path:
 
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# The nightly soak of tests/test_runtime_lifecycle.py's state machine
+# (`pytest --hypothesis-profile=nightly`); registered here because the
+# hypothesis plugin loads a profile before test modules are imported.
+settings.register_profile(
+    "nightly", max_examples=2000, stateful_step_count=100
+)
 
 from repro.data import make_imagenet_like
 from repro.nn import (

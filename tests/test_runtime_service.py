@@ -37,7 +37,7 @@ from repro.runtime import (
     merge_shard_stats,
     plan_worker_affinity,
 )
-from repro.runtime.service import _Shard
+from repro.runtime.lifecycle import LifecycleCore
 
 
 # Worker-side model factory: a picklable module-level callable shared
@@ -405,24 +405,24 @@ class TestShardedDetectionService:
     ):
         """A shard whose process runs but which has not yet sent its
         "ready" message cannot take traffic, so it is not counted (nor
-        is a broken or stopping one)."""
+        is a broken or stopping one).  ``alive_workers`` is the count
+        of the lifecycle core's eligible shards."""
         service = ShardedDetectionService(
             service_detector, model_factory=_build_service_model,
         )
-
-        class LiveProcess:
-            def is_alive(self):
-                return True
-
-        shard = _Shard(0, LiveProcess(), None, None)
-        service._shards[0] = shard
         assert service.alive_workers == 0
-        shard.ready.set()
-        assert service.alive_workers == 1
-        shard.broken = True
-        assert service.alive_workers == 0
-        shard.broken, shard.stopping = False, True
-        assert service.alive_workers == 0
+        core = LifecycleCore(make_scheduler("round-robin"), 2, 0)
+        shard = core.add_shard(set(), now=0.0)
+        assert core.eligible() == []
+        core.ready(shard.shard_id, now=0.1)
+        assert core.eligible() == [shard]
+        core.mark_broken(shard.shard_id)
+        assert core.eligible() == []
+        other = core.add_shard(set(), now=0.2)
+        core.ready(other.shard_id, now=0.3)
+        assert core.eligible() == [other]
+        core.stop()
+        assert core.eligible() == []
 
     def test_pinned_workers_serve_bit_identically(
         self, service_detector, engine_reference
@@ -437,10 +437,8 @@ class TestShardedDetectionService:
         ) as service:
             result = service.run(xs)
             assert np.array_equal(result.scores, reference.scores)
-            if service._affinity_plan is None:
+            if plan_worker_affinity(2) is None:
                 return  # platform cannot pin; nothing more to check
-            # a replacement must take over the dead shard's CPU share,
-            # keeping the live shards' plan slots disjoint
             service.inject_crash()
             service.run(xs)
             deadline = time.monotonic() + 30.0
@@ -448,11 +446,16 @@ class TestShardedDetectionService:
                 service.restarts < 1 or service.alive_workers < 2
             ):
                 time.sleep(0.05)
-            with service._lock:
-                slots = sorted(
-                    service._affinity_slots[sid] for sid in service._shards
-                )
-            assert slots == [0, 1]
+            assert service.alive_workers == 2
+            assert np.array_equal(service.run(xs).scores, reference.scores)
+        # a replacement must take over the dead shard's CPU share (plan
+        # slot), keeping the live shards' slots disjoint
+        core = LifecycleCore(make_scheduler("round-robin"), 2, 1)
+        first, second = (core.add_shard(set(), now=0.0) for _ in range(2))
+        assert core.reap(first.shard_id, now=1.0)
+        replacement = core.add_shard(set(), now=1.0)
+        assert replacement.slot == first.slot
+        assert sorted(s.slot for s in core.shards.values()) == [0, 1]
 
     def test_state_broadcast_shares_one_payload(
         self, service_detector, engine_reference
