@@ -80,9 +80,9 @@ def shrink_for_smoke(
 ) -> None:
     """Shrink every scenario in place to tiny CI-smoke sizes.
 
-    Used by ``benchmarks/conftest.py --smoke`` and
-    ``scripts/perf_gate.py`` so benchmark plumbing can run end-to-end
-    in minutes.  Idempotent; only ever shrinks, never grows.
+    Used by ``benchmarks/conftest.py --smoke``, ``--smoke`` CLI runs
+    and ``scripts/suite_gate.py``, so benchmark plumbing can run
+    end-to-end in minutes.  Idempotent; only ever shrinks, never grows.
     """
     import dataclasses
 

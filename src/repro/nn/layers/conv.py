@@ -90,8 +90,8 @@ class Conv2d(Module):
         # k-reduction blocking does not depend on the column count on
         # OpenBLAS/MKL; verified bitwise for N in 1..256 here) — it is
         # not guaranteed by the standard, so the batch-equivalence tests
-        # and the perf gate's cross-batch score check enforce it on
-        # every machine rather than trusting this comment.
+        # and the engine's cross-batch-size test enforce it on every
+        # machine rather than trusting this comment.
         out = (
             (w_mat @ flat)
             .reshape(self.out_channels, batch, out_h * out_w)

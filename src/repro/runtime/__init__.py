@@ -14,7 +14,7 @@ per-request :class:`RequestClass` priority ladder),
 that service (validation, bounded class-aware 429 backpressure,
 graceful drain, per-model routing and ``/v1/models`` hot-swap),
 and :class:`ThroughputStats` keeps the samples/sec and per-stage
-latency accounting the benchmarks and the CI perf gate read.  Batches
+latency accounting the CLI and the benchmarks read.  Batches
 and results move between the service and its shards pickled over
 each shard's private multiprocessing queues.  Faults are
 first-class: workers heartbeat to a watchdog that reaps live-but-hung

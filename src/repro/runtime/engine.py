@@ -219,13 +219,11 @@ def measure_throughput(
 ) -> dict:
     """Samples/sec (and stage split) per micro-batch size.
 
-    The one measurement harness behind both the CLI ``throughput``
-    command and ``benchmarks/bench_runtime_throughput.py`` (which the
-    CI perf gate reuses), so their numbers can never drift.  Each batch
-    size gets a warm-up pass plus ``repeats`` timed passes; the best
-    pass is reported (least scheduler noise), with the first pass's
-    scores and rejection rate attached for equivalence checks and
-    operator display.
+    The measurement harness behind the CLI ``throughput`` command.
+    Each batch size gets a warm-up pass plus ``repeats`` timed passes;
+    the best pass is reported (least scheduler noise), with the first
+    pass's scores and rejection rate attached for equivalence checks
+    and operator display.
     """
     results = {}
     for batch_size in batch_sizes:

@@ -1276,14 +1276,12 @@ def measure_worker_scaling(
     """Wall-clock samples/sec of the sharded service per pool size.
 
     The sharded twin of :func:`repro.runtime.measure_throughput`, and
-    the one harness behind the CLI ``serve``/``throughput --workers``,
-    ``benchmarks/bench_runtime_scaling.py``, and the CI perf gate's
-    worker envelope.  Each pool size gets a warm-up pass plus
-    ``repeats`` timed passes with the best pass reported; the first
-    pass's scores are attached so callers can check bit-identical
-    decisions across pool sizes (and against the single-process
-    engine).  The detector state is serialised once and shared by every
-    pool.
+    the harness behind the CLI ``serve``/``throughput --workers``.
+    Each pool size gets a warm-up pass plus ``repeats`` timed passes
+    with the best pass reported; the first pass's scores are attached
+    so callers can check bit-identical decisions across pool sizes
+    (and against the single-process engine).  The detector state is
+    serialised once and shared by every pool.
     """
     if state is None:
         state = detector_to_state(detector)

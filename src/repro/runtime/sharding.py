@@ -6,8 +6,7 @@ goes to.  Two policies ship by default:
 
 ``round-robin``
     Deterministic rotation over the live shards — equal batches get
-    equal shares, and the dispatch order is reproducible, which is what
-    the scaling benchmarks and the CI perf gate want.
+    equal shares, and the dispatch order is reproducible.
 
 ``least-loaded``
     Route to the shard with the fewest in-flight samples (ties break

@@ -4,7 +4,7 @@ The ROADMAP's north star is "fast as the hardware allows, heavy
 traffic"; these counters are how every batching decision is judged:
 samples/sec overall, per-stage time split (inference+extraction vs
 similarity vs classification), and per-batch latency percentiles.
-The benchmark suite and the CI perf gate read the same report dict.
+The CLI and the benchmark suite read the same report dict.
 """
 
 from __future__ import annotations
@@ -140,7 +140,7 @@ class ThroughputStats:
         return float(np.percentile(np.asarray(self.batch_latencies), q)) * 1e3
 
     def report(self) -> Dict[str, float]:
-        """JSON-safe summary (what the perf gate stores and compares)."""
+        """JSON-safe summary of the counters."""
         out: Dict[str, float] = {
             "samples": float(self.samples),
             "batches": float(self.batches),

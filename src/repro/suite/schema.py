@@ -6,8 +6,8 @@ can diff, gate, and aggregate them uniformly (the HYMET bench-harness
 pattern: many runners, one profile format).  The schema is deliberately
 plain JSON with stdlib-only validation, because the same checks run in
 three places: the suite writer (before anything touches disk), the
-``scripts/check_report_schema.py`` CI job, and the perf gate's
-``suite`` section.
+``scripts/check_report_schema.py`` CI job, and
+``scripts/suite_gate.py``.
 
 Report shape (``SCHEMA_VERSION`` 2)::
 

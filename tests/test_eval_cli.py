@@ -43,6 +43,29 @@ def documented_cli_commands():
 
 DOCUMENTED_CLI_COMMANDS = documented_cli_commands()
 
+#: A ``scripts/`` or ``benchmarks/`` script, or a top-level record file.
+#: Committed records are named in capitals (``BENCHMARK.json``,
+#: ``SUITE_baseline.json``); lowercase ``*.json`` names are run outputs.
+_REPO_PATH = re.compile(
+    r"(?<![\w/.-])(?:(?:scripts|benchmarks)/[\w-]+\.py|[A-Z][\w-]*\.json)\b"
+)
+
+
+def documented_repo_paths():
+    """``(label, path)`` for every script and top-level record file that
+    README.md, the CI workflows and the verify skill name."""
+    sources = [REPO / "README.md",
+               *sorted((REPO / ".github" / "workflows").glob("*.yml")),
+               REPO / ".claude" / "skills" / "verify" / "SKILL.md"]
+    return [
+        (f"{path.name}:{name}", name)
+        for path in sources
+        for name in sorted(set(_REPO_PATH.findall(path.read_text())))
+    ]
+
+
+DOCUMENTED_REPO_PATHS = documented_repo_paths()
+
 
 class TestScenarios:
     def test_registry_covers_paper_workloads(self):
@@ -250,12 +273,36 @@ class TestCli:
             pytest.fail(f"documented command does not parse: "
                         f"python -m repro.cli {shlex.join(argv)}")
 
+    def test_docs_name_repo_paths(self):
+        names = {name for _, name in DOCUMENTED_REPO_PATHS}
+        assert any(name.startswith("scripts/") for name in names)
+        assert any(name.endswith(".json") for name in names)
+
+    @pytest.mark.parametrize(
+        "name",
+        [name for _, name in DOCUMENTED_REPO_PATHS],
+        ids=[label for label, _ in DOCUMENTED_REPO_PATHS],
+    )
+    def test_documented_path_exists(self, name):
+        """A doc that names a deleted script or record file is stale."""
+        assert (REPO / name).is_file(), f"documented path is missing: {name}"
+
     @pytest.mark.skipif(not Path("/proc/self/task").exists(),
                         reason="reads worker pids from /proc")
-    def test_serve_http_sigterm_right_after_banner_stops_cleanly(self):
-        """SIGTERM sent the moment the "serving ... on URL" banner
-        arrives must drain and stop the pool: exit 0, "stopped
-        cleanly", and no worker left running."""
+    @pytest.mark.parametrize(
+        "signum, frames",
+        [(signal.SIGTERM, 0), (signal.SIGINT, 0), (signal.SIGINT, 16)],
+        ids=["SIGTERM", "SIGINT", "SIGINT-after-detect"],
+    )
+    def test_serve_http_sigterm_right_after_banner_stops_cleanly(
+        self, signum, frames
+    ):
+        """SIGTERM or SIGINT sent the moment the "serving ... on URL"
+        banner arrives, or right after a ``frames``-sample detection
+        request answered, must drain and stop the pool: exit 0,
+        "stopped cleanly", and no worker left running."""
+        from repro.runtime.server import post_detect
+
         repo = Path(__file__).resolve().parent.parent
         env = dict(os.environ, PYTHONPATH=str(repo / "src"))
         proc = subprocess.Popen(
@@ -272,7 +319,12 @@ class TestCli:
                 pytest.fail("serve exited before printing its banner")
             pid = proc.pid
             workers = open(f"/proc/{pid}/task/{pid}/children").read().split()
-            proc.send_signal(signal.SIGTERM)
+            if frames:
+                url = re.search(r"on (http://\S+)", line).group(1)
+                xs = SCENARIOS["alexnet_imagenet"].build_dataset().x_test
+                response = post_detect(url, xs[:frames])
+                assert len(response["scores"]) == frames
+            proc.send_signal(signum)
             output = proc.stdout.read()
             assert proc.wait(timeout=60) == 0, output
         finally:
