@@ -1,9 +1,10 @@
 """Low-level numerical helpers shared by the layer implementations.
 
-The pooling layers unfold their windows with :func:`im2col`; the
-convolution builds its GEMM operand directly (see
-:mod:`repro.nn.layers.conv`).  Both fold column gradients back with
-:func:`col2im`.
+Average pooling unfolds its windows with :func:`im2col` and folds its
+column gradients back with :func:`col2im`; the convolution builds its
+GEMM operand directly (see :mod:`repro.nn.layers.conv`) and folds its
+gradients back with :func:`col2im` too.  Max pooling uses neither: it
+works on strided slices of its input (see :mod:`repro.nn.layers.pool`).
 """
 
 from __future__ import annotations

@@ -1,12 +1,13 @@
 """2-D convolution with partial-sum introspection.
 
 The forward pass unfolds the padded input into the GEMM operand in a
-single copy (a strided window view made contiguous); the backward pass
-reuses that cached operand and folds the column gradients back with
-col2im, so both reduce to dense GEMMs.  The Ptolemy introspection path
-recomputes the partial sums of a single output element on demand from
-the cached input, which is exactly the ``csps`` recompute strategy the
-paper's compiler emits (Sec. IV-B).
+single copy (a strided window view made contiguous) and caches only the
+input; the backward pass rebuilds that operand from the cached input
+and folds the column gradients back with col2im, so both reduce to
+dense GEMMs and inference holds no operand between batches.  The
+Ptolemy introspection path recomputes the partial sums of a single
+output element on demand from the cached input, which is exactly the
+``csps`` recompute strategy the paper's compiler emits (Sec. IV-B).
 """
 
 from __future__ import annotations
@@ -66,23 +67,11 @@ class Conv2d(Module):
                 f"Conv2d expected (N, {self.in_channels}, H, W), got {x.shape}"
             )
         batch, _, height, width = x.shape
-        k, stride, pad = self.kernel_size, self.stride, self.padding
-        out_h = conv_output_size(height, k, stride, pad)
-        out_w = conv_output_size(width, k, stride, pad)
-        if pad > 0:
-            x_padded = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-        else:
-            x_padded = x
-        # The GEMM operand in one copy: a strided window view of the
-        # padded input, transposed to (C, kh, kw, N, oh, ow) and made
-        # contiguous as the (f, N*p) matrix, with f = C*kh*kw and
-        # p = oh*ow.
-        windows = sliding_window_view(x_padded, (k, k), axis=(2, 3))[
-            :, :, ::stride, ::stride
-        ]
-        flat = np.ascontiguousarray(
-            windows.transpose(1, 4, 5, 0, 2, 3)
-        ).reshape(-1, batch * out_h * out_w)
+        out_h = conv_output_size(height, self.kernel_size, self.stride,
+                                 self.padding)
+        out_w = conv_output_size(width, self.kernel_size, self.stride,
+                                 self.padding)
+        flat = self._gemm_operand(x)
         w_mat = self.weight.data.reshape(self.out_channels, -1)
         # One flattened (o,f) @ (f, N*p) GEMM instead of an einsum: BLAS
         # beats c_einsum ~2x at these shapes.  Cross-batch-size
@@ -100,13 +89,34 @@ class Conv2d(Module):
         if self.bias is not None:
             out = out + self.bias.data[None, :, None]
         out = out.reshape(batch, self.out_channels, out_h, out_w)
-        self._cache = {"x": x, "flat": flat}
+        self._cache = {"x": x}
         self._in_shape = x.shape
         self._out_hw = (out_h, out_w)
         return out
 
+    def _gemm_operand(self, x: np.ndarray) -> np.ndarray:
+        """The (f, N*p) GEMM operand of ``x``, with f = C*kh*kw and
+        p = oh*ow, in one copy: a strided window view of the padded
+        input, transposed to (C, kh, kw, N, oh, ow) and made contiguous."""
+        batch, channels, height, width = x.shape
+        k, stride, pad = self.kernel_size, self.stride, self.padding
+        if pad > 0:
+            padded = np.zeros(
+                (batch, channels, height + 2 * pad, width + 2 * pad),
+                dtype=x.dtype,
+            )
+            padded[:, :, pad:-pad, pad:-pad] = x
+            x = padded
+        windows = sliding_window_view(x, (k, k), axis=(2, 3))[
+            :, :, ::stride, ::stride
+        ]
+        return np.ascontiguousarray(
+            windows.transpose(1, 4, 5, 0, 2, 3)
+        ).reshape(channels * k * k, -1)
+
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        x, cols_flat = self._cache["x"], self._cache["flat"]
+        x = self._cache["x"]
+        cols_flat = self._gemm_operand(x)
         batch = grad_out.shape[0]
         grad_mat = grad_out.reshape(batch, self.out_channels, -1)
         w_mat = self.weight.data.reshape(self.out_channels, -1)

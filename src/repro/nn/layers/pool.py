@@ -1,9 +1,12 @@
 """Pooling layers with positional importance propagation.
 
-Max pooling caches the argmax of every window so that backward
-importance propagation can map an important pooled position to the
-exact input element that produced it.  Average pooling maps an output
-position to its whole window (every element contributed).
+Max pooling computes its output as a running maximum over the k*k
+strided slices of the input and caches only the input.  The argmax of
+every window, which backward importance propagation needs to map an
+important pooled position to the exact input element that produced
+it, is computed on first read and then kept for the batch, so
+inference never pays for it.  Average pooling maps an output position
+to its whole window (every element contributed).
 """
 
 from __future__ import annotations
@@ -42,13 +45,17 @@ class _Pool2d(Module):
         self._out_hw = (out_h, out_w)
         return out_h, out_w
 
-    def _window_input_positions(self, c: int, oy: int, ox: int) -> np.ndarray:
-        """Flat input positions of the pooling window at output (c,oy,ox)."""
-        _, _, height, width = self._in_shape
-        iy = oy * self.stride + np.arange(self.kernel_size)
-        ix = ox * self.stride + np.arange(self.kernel_size)
-        iy_grid, ix_grid = np.meshgrid(iy, ix, indexing="ij")
-        return c * height * width + (iy_grid * width + ix_grid).ravel()
+    def _window_slices(self, x: np.ndarray):
+        """The k*k strided (N, C, out_h, out_w) views of ``x``, one per
+        window offset, in ascending (ky, kx) order."""
+        k, stride = self.kernel_size, self.stride
+        out_h, out_w = self._out_hw
+        span_h, span_w = stride * (out_h - 1) + 1, stride * (out_w - 1) + 1
+        return [
+            x[:, :, ky:ky + span_h:stride, kx:kx + span_w:stride]
+            for ky in range(k)
+            for kx in range(k)
+        ]
 
     def _decompose(self, positions: np.ndarray):
         out_h, out_w = self._out_hw
@@ -58,46 +65,64 @@ class _Pool2d(Module):
 
 
 class MaxPool2d(_Pool2d):
-    """Max pooling; caches per-window argmax so path extraction can
-    propagate importance through the selected element only."""
+    """Max pooling; the per-window argmax, read by ``backward`` and
+    ``propagate_back`` to route through the selected element only, is
+    computed on first read."""
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        batch, channels, _, _ = x.shape
-        out_h, out_w = self._setup_shapes(x)
-        cols = self._window_cols(x)
-        argmax = cols.argmax(axis=1)
-        out = np.take_along_axis(cols, argmax[:, None, :], axis=1)[:, 0, :]
-        self._cache = {"argmax": argmax, "x_shape": x.shape, "cols_shape": cols.shape}
-        return out.reshape(batch, channels, out_h, out_w)
+        self._setup_shapes(x)
+        windows = self._window_slices(x)
+        # np.maximum(a, b) returns b when a == b, so the running maximum
+        # as second operand keeps the first of tied values (+0.0 and -0.0
+        # tie), as argmax does ...
+        out = windows[0].copy()
+        for window in windows[1:]:
+            np.maximum(window, out, out=out)
+        # ... but of two NaNs it returns a: write back the first NaN of
+        # each window that has one
+        if np.isnan(out).any():
+            for window in reversed(windows):
+                np.copyto(out, window, where=np.isnan(window))
+        self._cache = {"x": x}
+        return out
+
+    def _argmax(self) -> np.ndarray:
+        """Window offset ky*k + kx of each output's maximum, shaped like
+        the output: the first maximum wins, and the first NaN wins over
+        any number, as with ``argmax``."""
+        argmax = self._cache.get("argmax")
+        if argmax is not None:
+            return argmax
+        windows = self._window_slices(self._cache["x"])
+        best = windows[0].copy()
+        argmax = np.zeros(best.shape, dtype=np.intp)
+        for i, window in enumerate(windows[1:], start=1):
+            # strict >, made NaN-aware: not (window <= best) also holds
+            # where window is NaN; best == best fails once best is NaN
+            take = ~(window <= best)
+            take &= best == best
+            argmax[take] = i
+            np.maximum(window, best, out=best)
+        self._cache["argmax"] = argmax
+        return argmax
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        from repro.nn.functional import col2im
-
-        argmax = self._cache["argmax"]
-        batch, channels, height, width = self._cache["x_shape"]
-        grad_cols = np.zeros(self._cache["cols_shape"])
-        flat_grad = grad_out.reshape(batch * channels, -1)
-        np.put_along_axis(grad_cols, argmax[:, None, :], flat_grad[:, None, :], axis=1)
-        grad = col2im(
-            grad_cols,
-            (batch * channels, 1, height, width),
-            self.kernel_size,
-            self.kernel_size,
-            self.stride,
-            0,
-        )
-        return grad.reshape(batch, channels, height, width)
+        argmax = self._argmax()
+        grad_out = grad_out.reshape(argmax.shape)
+        grad = np.zeros(self._in_shape)
+        # One strided add per window offset in ascending (ky, kx) order,
+        # each input pixel starting from 0.0, as col2im folds columns
+        for i, grad_window in enumerate(self._window_slices(grad)):
+            grad_window += np.where(argmax == i, grad_out, 0.0)
+        return grad
 
     def propagate_back(self, positions: np.ndarray, sample: int = 0) -> np.ndarray:
         """Map pooled positions to the argmax element of each window."""
         if positions.size == 0:
             return positions
-        argmax = self._cache["argmax"]
-        batch, channels, height, width = self._cache["x_shape"]
-        out_h, out_w = self._out_hw
+        _, _, height, width = self._in_shape
         c, oy, ox = self._decompose(positions)
-        window_idx = argmax[sample * channels + c, oy * out_w + ox]
-        ky, kx = np.divmod(window_idx, self.kernel_size)
+        ky, kx = np.divmod(self._argmax()[sample, c, oy, ox], self.kernel_size)
         iy = oy * self.stride + ky
         ix = ox * self.stride + kx
         return c * height * width + iy * width + ix
@@ -137,12 +162,12 @@ class AvgPool2d(_Pool2d):
         """Every element of the window contributed; expand to all of them."""
         if positions.size == 0:
             return positions
+        _, _, height, width = self._in_shape
         c, oy, ox = self._decompose(positions)
-        expanded = [
-            self._window_input_positions(int(ci), int(yi), int(xi))
-            for ci, yi, xi in zip(c, oy, ox)
-        ]
-        return np.unique(np.concatenate(expanded))
+        ky, kx = np.divmod(np.arange(self.kernel_size**2), self.kernel_size)
+        iy = oy[:, None] * self.stride + ky
+        ix = ox[:, None] * self.stride + kx
+        return np.unique(c[:, None] * height * width + iy * width + ix)
 
 
 class GlobalAvgPool2d(Module):

@@ -4,7 +4,8 @@ The framework deliberately avoids a taped autograd: every layer knows how
 to compute its own backward pass from values cached during the forward
 pass.  This keeps the execution model transparent, which matters here
 because Ptolemy's path extraction introspects the very same cached
-values (inputs, argmax indices, partial sums).
+values (inputs, and the argmax indices and partial sums recomputed
+from them).
 """
 
 from __future__ import annotations
@@ -113,12 +114,5 @@ class Module:
         pass
 
     # -- misc -----------------------------------------------------------
-    @property
-    def cache(self) -> dict:
-        return self._cache
-
-    def clear_cache(self) -> None:
-        self._cache = {}
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"

@@ -31,6 +31,16 @@ from repro.core.path import (
     per_tap_similarity,
 )
 from repro.core.profiling import ClassPathSet
+from repro.nn import Graph
+from repro.nn.layers import (
+    Add,
+    AvgPool2d,
+    Conv2d,
+    Flatten,
+    Linear,
+    MaxPool2d,
+    ReLU,
+)
 
 
 # -- shared fixtures --------------------------------------------------------
@@ -189,6 +199,60 @@ class TestExtractorEquivalence:
         assert batch.batch_size == 0
         assert batch.predicted_classes.shape == (0,)
         assert batch.packed.words.shape[0] == 0
+
+
+@st.composite
+def pooled_graphs(draw):
+    """A small random graph around a max pool whose windows may overlap
+    (kernel > stride), with an optional residual block and a second
+    pooling layer, and a batch of inputs for it."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kernel, stride = draw(st.sampled_from([(2, 2), (3, 2), (3, 1), (2, 1)]))
+    image = draw(st.sampled_from([5, 6, 7, 9]))
+    channels = draw(st.integers(1, 3))
+    graph = Graph("pooled")
+    graph.add("conv1", Conv2d(2, channels, 3, padding=1, rng=rng))
+    graph.add("relu1", ReLU())
+    pooled = graph.add("pool1", MaxPool2d(kernel, stride))
+    size = (image - kernel) // stride + 1
+    if draw(st.booleans()):
+        graph.add("conv2", Conv2d(channels, channels, 3, padding=1, rng=rng))
+        relu = graph.add("relu2", ReLU())
+        graph.add("add", Add(), [relu, pooled])
+    second = draw(st.sampled_from([None, MaxPool2d, AvgPool2d]))
+    if second is not None and size >= 2:
+        graph.add("pool2", second(2, 1))
+        size -= 1
+    graph.add("flatten", Flatten())
+    graph.add("fc", Linear(channels * size * size, 4, rng=rng))
+    batch = draw(st.integers(1, 5))
+    return graph, rng.normal(size=(batch, 2, image, image))
+
+
+class TestPooledGraphEquivalence:
+    @given(
+        pooled_graphs(),
+        st.sampled_from(["BwCu", "BwAb"]),
+        st.floats(0.1, 0.9),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_batched_backward_masks_match_per_sample(
+        self, case, variant, threshold
+    ):
+        graph, xs = case
+        n = graph.num_extraction_units()
+        if variant == "BwCu":
+            config = ExtractionConfig.bwcu(n, theta=threshold)
+        else:
+            config = ExtractionConfig.bwab(n, phi=threshold - 0.5)
+        extractor = PathExtractor(graph, config)
+        batch = extractor.extract_batch(xs)
+        singles = [extractor.extract(xs[i:i + 1]) for i in range(len(xs))]
+        assert np.array_equal(
+            batch.predicted_classes, [s.predicted_class for s in singles]
+        )
+        for unpacked, single in zip(batch.paths(), singles):
+            assert unpacked == single.path
 
 
 # -- detector equivalence ----------------------------------------------------

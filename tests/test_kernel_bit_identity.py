@@ -1,8 +1,10 @@
 """Byte-for-byte checks of the vectorised forest walk, the one-copy conv
-GEMM operand and the strided-add ``col2im`` against reference copies of
-the straightforward implementations: a per-tree, per-row forest walk
-summed tree by tree, a fancy-indexing ``im2col`` followed by a
-transpose copy, and an ``np.add.at`` scatter for ``col2im``.
+GEMM operand, the strided-add ``col2im`` and the pooling layers against
+reference copies of the straightforward implementations: a per-tree,
+per-row forest walk summed tree by tree, a fancy-indexing ``im2col``
+followed by a transpose copy, an ``np.add.at`` scatter for ``col2im``,
+max pooling by ``argmax`` over ``im2col`` windows, and average-pooling
+importance expanded one window at a time.
 
 Scores are compared with ``tobytes()``, not ``allclose``: the detector's
 decisions must not depend on which implementation computed them.
@@ -16,7 +18,7 @@ from hypothesis import strategies as st
 from repro.core.classifier import RandomForest
 from repro.core.serialization import forest_from_arrays, forest_to_arrays
 from repro.nn.functional import col2im, conv_output_size
-from repro.nn.layers import Conv2d
+from repro.nn.layers import AvgPool2d, Conv2d, MaxPool2d
 
 # -- reference implementations ------------------------------------------------
 
@@ -107,6 +109,73 @@ def _conv_backward_ref(conv, x, cols, grad_out):
     grad_x = _col2im_ref(grad_cols, x.shape, conv.kernel_size, conv.stride,
                          conv.padding)
     return grad_x, weight_grad, bias_grad
+
+
+class _MaxPool2dRef:
+    """Max pooling as an ``argmax`` over the ``im2col`` windows of each
+    channel, with the argmax computed in ``forward``."""
+
+    def __init__(self, kernel, stride):
+        self.kernel, self.stride = kernel, stride
+
+    def forward(self, x):
+        batch, channels, height, width = x.shape
+        out_h = conv_output_size(height, self.kernel, self.stride, 0)
+        out_w = conv_output_size(width, self.kernel, self.stride, 0)
+        cols = _im2col_ref(
+            x.reshape(batch * channels, 1, height, width), self.kernel,
+            self.stride, 0,
+        )
+        self.argmax = cols.argmax(axis=1)
+        self.x_shape, self.cols_shape = x.shape, cols.shape
+        self.out_hw = (out_h, out_w)
+        out = np.take_along_axis(cols, self.argmax[:, None, :], axis=1)
+        return out[:, 0, :].reshape(batch, channels, out_h, out_w)
+
+    def backward(self, grad_out):
+        batch, channels, height, width = self.x_shape
+        grad_cols = np.zeros(self.cols_shape)
+        np.put_along_axis(
+            grad_cols, self.argmax[:, None, :],
+            grad_out.reshape(batch * channels, -1)[:, None, :], axis=1,
+        )
+        grad = _col2im_ref(
+            grad_cols, (batch * channels, 1, height, width), self.kernel,
+            self.stride, 0,
+        )
+        return grad.reshape(batch, channels, height, width)
+
+    def propagate_back(self, positions, sample=0):
+        if positions.size == 0:
+            return positions
+        _, channels, height, width = self.x_shape
+        out_h, out_w = self.out_hw
+        c, rem = np.divmod(positions, out_h * out_w)
+        oy, ox = np.divmod(rem, out_w)
+        window_idx = self.argmax[sample * channels + c, oy * out_w + ox]
+        ky, kx = np.divmod(window_idx, self.kernel)
+        iy = oy * self.stride + ky
+        ix = ox * self.stride + kx
+        return c * height * width + iy * width + ix
+
+
+def _avgpool_propagate_back_ref(pool, positions):
+    """Average-pooling importance: one window per position, then unique."""
+    if positions.size == 0:
+        return positions
+    _, _, height, width = pool._in_shape
+    out_h, out_w = pool._out_hw
+    c, rem = np.divmod(positions, out_h * out_w)
+    oy, ox = np.divmod(rem, out_w)
+    expanded = []
+    for ci, yi, xi in zip(c, oy, ox):
+        iy = int(yi) * pool.stride + np.arange(pool.kernel_size)
+        ix = int(xi) * pool.stride + np.arange(pool.kernel_size)
+        iy_grid, ix_grid = np.meshgrid(iy, ix, indexing="ij")
+        expanded.append(
+            int(ci) * height * width + (iy_grid * width + ix_grid).ravel()
+        )
+    return np.unique(np.concatenate(expanded))
 
 
 # -- forest -------------------------------------------------------------------
@@ -214,3 +283,121 @@ def test_col2im_bytes(kernel, stride, padding, batch):
     ref = _col2im_ref(cols, in_shape, kernel, stride, padding)
     assert got.shape == ref.shape
     assert got.tobytes() == ref.tobytes()
+
+
+# -- pooling ------------------------------------------------------------------
+
+POOL_GEOMETRIES = [(2, 2), (3, 2), (3, 1), (2, 1)]
+#: (height, width): odd sizes leave rows and columns no window covers
+POOL_SIZES = [(5, 5), (7, 9), (6, 7)]
+POOL_INPUTS = ["normal", "integer_ties", "signed_zeros", "nan", "relu"]
+
+
+def _pool_input(kind, shape, rng):
+    if kind == "normal":
+        return rng.normal(size=shape)
+    if kind == "integer_ties":
+        return rng.integers(-2, 3, size=shape).astype(np.float64)
+    if kind == "signed_zeros":
+        return rng.choice(np.array([0.0, -0.0, -1.0]), size=shape)
+    if kind == "nan":
+        return rng.choice(
+            np.array([np.nan, -np.nan, 0.0, -0.0, 1.0, 1.0, -2.0]), size=shape
+        )
+    # a ReLU output: x * (x > 0) turns every negative input into -0.0
+    x = rng.normal(size=shape)
+    return x * (x > 0)
+
+
+def _all_positions(out_shape):
+    return np.arange(int(np.prod(out_shape[1:])), dtype=np.int64)
+
+
+@pytest.mark.parametrize("kind", POOL_INPUTS)
+@pytest.mark.parametrize("height,width", POOL_SIZES)
+@pytest.mark.parametrize("kernel,stride", POOL_GEOMETRIES)
+def test_maxpool_forward_backward_bytes(kernel, stride, height, width, kind):
+    rng = np.random.default_rng([kernel, stride, height, width,
+                                 POOL_INPUTS.index(kind)])
+    pool, ref = MaxPool2d(kernel, stride), _MaxPool2dRef(kernel, stride)
+    x = _pool_input(kind, (3, 2, height, width), rng)
+    out, ref_out = pool.forward(x), ref.forward(x)
+    assert out.shape == ref_out.shape
+    assert out.tobytes() == ref_out.tobytes()
+    grad_out = rng.normal(size=out.shape)
+    assert pool.backward(grad_out).tobytes() == ref.backward(grad_out).tobytes()
+
+
+@pytest.mark.parametrize("kind", POOL_INPUTS)
+@pytest.mark.parametrize("height,width", POOL_SIZES)
+@pytest.mark.parametrize("kernel,stride", POOL_GEOMETRIES)
+def test_maxpool_propagate_back_bytes(kernel, stride, height, width, kind):
+    rng = np.random.default_rng([height, width, kernel, stride,
+                                 POOL_INPUTS.index(kind)])
+    pool, ref = MaxPool2d(kernel, stride), _MaxPool2dRef(kernel, stride)
+    x = _pool_input(kind, (3, 2, height, width), rng)
+    out = pool.forward(x)
+    ref.forward(x)
+    positions = _all_positions(out.shape)
+    subset = np.sort(rng.choice(positions, size=positions.size // 3,
+                                replace=False))
+    for sample in range(x.shape[0]):
+        for pos in (positions, subset, positions[:0]):
+            got = pool.propagate_back(pos, sample)
+            want = ref.propagate_back(pos, sample)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kernel,stride", POOL_GEOMETRIES)
+def test_maxpool_sequence_bytes(kernel, stride):
+    """forward -> backward -> forward of another batch -> propagate_back ->
+    backward: the argmax of one batch never leaks into the next."""
+    rng = np.random.default_rng(kernel * 10 + stride)
+    pool, ref = MaxPool2d(kernel, stride), _MaxPool2dRef(kernel, stride)
+    for shape, kind in (((2, 3, 7, 7), "integer_ties"),
+                        ((4, 3, 9, 7), "relu"),
+                        ((1, 3, 5, 9), "nan")):
+        x = _pool_input(kind, shape, rng)
+        assert pool.forward(x).tobytes() == ref.forward(x).tobytes()
+        grad_out = rng.normal(size=ref.argmax.shape).reshape(
+            (shape[0], shape[1]) + ref.out_hw
+        )
+        assert (pool.backward(grad_out).tobytes()
+                == ref.backward(grad_out).tobytes())
+        positions = _all_positions(grad_out.shape)
+        assert (pool.propagate_back(positions, shape[0] - 1).tobytes()
+                == ref.propagate_back(positions, shape[0] - 1).tobytes())
+        assert (pool.backward(grad_out).tobytes()
+                == ref.backward(grad_out).tobytes())
+
+
+def test_forward_holds_no_operand_and_no_argmax():
+    rng = np.random.default_rng(0)
+    conv = Conv2d(2, 3, 3, padding=1, rng=rng)
+    pool = MaxPool2d(3, 2)
+    x = rng.normal(size=(2, 2, 9, 9))
+    out = pool.forward(conv.forward(x))
+    assert set(conv._cache) == {"x"}
+    assert set(pool._cache) == {"x"}
+    pool.propagate_back(_all_positions(out.shape))
+    assert set(pool._cache) == {"x", "argmax"}
+    pool.forward(conv.forward(x))
+    assert set(pool._cache) == {"x"}
+
+
+@pytest.mark.parametrize("kernel,stride", POOL_GEOMETRIES + [(3, 3)])
+def test_avgpool_propagate_back_bytes(kernel, stride):
+    rng = np.random.default_rng(kernel * 7 + stride)
+    pool = AvgPool2d(kernel, stride)
+    out = pool.forward(rng.normal(size=(1, 3, 9, 7)))
+    positions = _all_positions(out.shape)
+    cases = [positions, positions[:0], positions[::-1],
+             np.repeat(positions[:4], 2)]
+    cases += [np.sort(rng.choice(positions, size=n, replace=False))
+              for n in (1, 2, positions.size // 2)]
+    for pos in cases:
+        got = pool.propagate_back(pos)
+        want = _avgpool_propagate_back_ref(pool, pos)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
