@@ -17,6 +17,9 @@ end-to-end:
    ``/v1/stats`` carries per-model and per-class sections.
 5. Shutdown is a clean drain (server close + service stop) — any
    hang fails the job via the step timeout.
+6. Keep-alive survives the hot-swap and the drain: the server accepted
+   no more connections than the smoke has client threads plus health
+   probes.
 
 Exits non-zero on the first violated contract.
 """
@@ -38,6 +41,7 @@ def main() -> int:
     from repro.runtime import DetectionEngine, ShardedDetectionService
     from repro.runtime.server import (
         DetectionHTTPServer,
+        RetryPolicy,
         get_json,
         post_detect,
         post_json,
@@ -70,8 +74,19 @@ def main() -> int:
     service.start()
     server = DetectionHTTPServer(service, max_inflight=8)
     server.start()
+    client_threads = 2  # this one and the in-flight request's
+    probes = 1  # wait_for_health probes once, then once per back-off
+
+    def backoff(seconds: float) -> None:
+        nonlocal probes
+        probes += 1
+        time.sleep(seconds)
+
     try:
-        assert wait_for_health(server.url, timeout=60), "never healthy"
+        assert wait_for_health(
+            server.url, timeout=60,
+            retry=RetryPolicy(base_delay=0.1, max_delay=1.0, sleep=backoff),
+        ), "never healthy"
 
         listing = get_json(server.url, "/v1/models")
         serving = {
@@ -147,6 +162,15 @@ def main() -> int:
         assert "alt@2" in stats["models"], sorted(stats["models"])
         assert stats["classes"]["batch"]["admitted"] >= 1, stats["classes"]
         print("[5] /v1/stats carries per-model and per-class sections")
+
+        server.close()
+        connections = server.stats_payload()["server"]["connections_total"]
+        assert connections <= client_threads + probes, (
+            f"{connections} connections for {client_threads} client "
+            f"threads and {probes} health probes"
+        )
+        print(f"[6] keep-alive: {connections} connections across the "
+              "hot-swap and drain")
     finally:
         server.close()
         service.stop()

@@ -64,7 +64,10 @@ oversized body → 413 (``payload_too_large``), class budget exhausted →
 failure → 503 (``service_unavailable``), request deadline → 504
 (``deadline_exceeded``), anything else → 500 (``internal``).
 
-The client helpers honor that schema: :class:`RetryPolicy` retries
+Connections are persistent (HTTP/1.1 keep-alive, ``TCP_NODELAY`` on
+every accepted socket); a response that closes its connection says so
+with ``Connection: close``.  The client helpers keep one connection per
+thread and honor the error schema: :class:`RetryPolicy` retries
 idempotent-safe outcomes only (429/503, or a connection that died
 *before* any response) with exponential backoff, jitter, and the
 server's ``Retry-After`` when present.
@@ -76,11 +79,12 @@ import http.client
 import io
 import json
 import random
+import select
+import socket
 import threading
 import time
 import urllib.error
 import urllib.parse
-import urllib.request
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable, Optional
@@ -239,14 +243,115 @@ def encode_npy(xs: np.ndarray) -> bytes:
     return buf.getvalue()
 
 
+class _Pooled:
+    """One thread's keep-alive connection and the address it serves.
+
+    Every client helper below goes through it, so a closed-loop client
+    reuses one TCP connection instead of opening one per request
+    (``HTTPConnection.connect`` sets TCP_NODELAY, so a small request
+    never waits out a delayed ACK).  It closes the connection when the
+    thread's locals are dropped at thread or interpreter exit, rather
+    than leave an open socket to the garbage collector."""
+
+    def __init__(self, address: tuple, timeout: float):
+        self.address = address
+        self.conn = http.client.HTTPConnection(*address, timeout=timeout)
+
+    def __del__(self):
+        self.conn.close()
+
+
+_pool = threading.local()
+
+
+def _peer_closed(sock) -> bool:
+    """Whether an idle pooled socket is readable: the server closed it
+    (EOF) or sent bytes nobody asked for — either way, unusable."""
+    try:
+        return bool(select.select([sock], [], [], 0)[0])
+    except (OSError, ValueError):  # closed, or beyond select()'s range
+        return True
+
+
+def _discard(conn: http.client.HTTPConnection) -> None:
+    conn.close()
+    pooled = getattr(_pool, "pooled", None)
+    if pooled is not None and pooled.conn is conn:
+        _pool.pooled = None
+
+
+def _checkout(address: tuple, timeout: float) -> tuple:
+    """``(connection, reused)``: this thread's pooled connection to
+    ``address``, or a new one (replacing the pooled one) when the pool
+    holds another address or a connection the server has closed."""
+    pooled = getattr(_pool, "pooled", None)
+    if (
+        pooled is not None
+        and pooled.address == address
+        and not _peer_closed(pooled.conn.sock)
+    ):
+        pooled.conn.sock.settimeout(timeout)
+        return pooled.conn, True
+    if pooled is not None:
+        pooled.conn.close()
+    _pool.pooled = _Pooled(address, timeout)
+    return _pool.pooled.conn, False
+
+
 def _send_request(
-    request: urllib.request.Request,
+    method: str,
+    url: str,
+    body: Optional[bytes],
+    headers: dict,
     timeout: float,
     retry: Optional[RetryPolicy],
+    idempotent: bool,
 ) -> dict:
+    """One request over this thread's pooled connection; the decoded
+    JSON response.  A non-2xx response raises
+    :class:`urllib.error.HTTPError` carrying the status, headers and
+    JSON body; transport failures raise their :class:`OSError`.
+
+    A reused connection that fails before any response arrives was
+    probably closed by the server while idle: an ``idempotent`` request
+    is sent once more on a fresh connection, any other raises (the
+    server may have acted on it)."""
+    split = urllib.parse.urlsplit(url)
+    if split.scheme != "http":
+        raise ValueError(f"unsupported URL scheme in {url!r}")
+    address = (split.hostname, split.port or 80)
+    target = split.path + (f"?{split.query}" if split.query else "")
+
+    def exchange() -> tuple:
+        while True:
+            conn, reused = _checkout(address, timeout)
+            try:
+                conn.request(method, target, body, headers)
+                return conn, conn.getresponse()
+            except (ConnectionResetError, BrokenPipeError):
+                # no response (RemoteDisconnected is a reset too)
+                _discard(conn)
+                if not (reused and idempotent):
+                    raise
+            except BaseException:
+                _discard(conn)
+                raise
+
     def attempt() -> dict:
-        with urllib.request.urlopen(request, timeout=timeout) as response:
-            return json.loads(response.read().decode("utf-8"))
+        conn, response = exchange()
+        keep = False
+        try:
+            data = response.read()
+            keep = not response.will_close
+        finally:
+            if not keep:
+                _discard(conn)
+        if not 200 <= response.status < 300:
+            raise urllib.error.HTTPError(
+                url, response.status, response.reason, response.msg,
+                io.BytesIO(data),
+            )
+        return json.loads(data.decode("utf-8"))
 
     if retry is None:
         return attempt()
@@ -287,13 +392,10 @@ def post_detect(
     headers = {"Content-Type": content_type}
     if request_class is not None:
         headers["X-Repro-Class"] = request_class
-    request = urllib.request.Request(
-        base_url.rstrip("/") + path,
-        data=body,
-        headers=headers,
-        method="POST",
+    return _send_request(
+        "POST", base_url.rstrip("/") + path, body, headers, timeout, retry,
+        idempotent=True,
     )
-    return _send_request(request, timeout, retry)
 
 
 def post_json(
@@ -307,21 +409,20 @@ def post_json(
     the JSON response.  ``retry`` applies a :class:`RetryPolicy`; only
     pass one for idempotent payloads (note a retried hot-swap POST may
     register two versions)."""
-    request = urllib.request.Request(
-        base_url.rstrip("/") + path,
-        data=json.dumps(payload).encode("utf-8"),
-        headers={"Content-Type": "application/json"},
-        method="POST",
+    return _send_request(
+        "POST", base_url.rstrip("/") + path,
+        json.dumps(payload).encode("utf-8"),
+        {"Content-Type": "application/json"}, timeout, retry,
+        idempotent=False,
     )
-    return _send_request(request, timeout, retry)
 
 
 def get_json(base_url: str, path: str, timeout: float = 10.0) -> dict:
     """GET a JSON endpoint (``/healthz``, ``/v1/stats``)."""
-    with urllib.request.urlopen(
-        base_url.rstrip("/") + path, timeout=timeout
-    ) as response:
-        return json.loads(response.read().decode("utf-8"))
+    return _send_request(
+        "GET", base_url.rstrip("/") + path, None, {}, timeout, None,
+        idempotent=True,
+    )
 
 
 def wait_for_health(
@@ -366,6 +467,9 @@ class _Handler(BaseHTTPRequestHandler):
     # Per-connection socket timeout so a stalled client cannot pin a
     # handler thread forever (StreamRequestHandler applies this).
     timeout = 120.0
+    # TCP_NODELAY on every accepted socket: with Nagle on, a keep-alive
+    # client's small request waits out its peer's delayed ACK (~40 ms).
+    disable_nagle_algorithm = True
 
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         pass  # request logging is the caller's concern, not stderr's
@@ -377,10 +481,16 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(code)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            # tell a keep-alive client not to reuse this connection
+            self.send_header("Connection", "close")
         for name, value in (extra_headers or {}).items():
             self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
+        # status line, headers and body in one write (end_headers()
+        # would send the header block on its own)
+        self._headers_buffer.append(b"\r\n")
+        self.wfile.write(b"".join(self._headers_buffer) + body)
+        self._headers_buffer = []
 
     def do_GET(self) -> None:
         front: "DetectionHTTPServer" = self.server.front
@@ -426,11 +536,52 @@ class _Handler(BaseHTTPRequestHandler):
 
 
 class _Httpd(ThreadingHTTPServer):
-    daemon_threads = True
+    """One daemon handler thread per connection, kept in a registry so
+    :meth:`close_connections` can end idle keep-alive connections."""
 
     def __init__(self, address, handler, front: "DetectionHTTPServer"):
         self.front = front
+        self._connections: dict = {}  # socket -> its handler thread
+        self._connections_lock = threading.Lock()
         super().__init__(address, handler)
+
+    def process_request(self, request, client_address) -> None:
+        thread = threading.Thread(
+            target=self.process_request_thread,
+            args=(request, client_address),
+            name=f"detection-http-conn:{self.server_address[1]}",
+            daemon=True,
+        )
+        with self._connections_lock:
+            self._connections[request] = thread
+        self.front._count("connections_total")
+        thread.start()
+
+    def process_request_thread(self, request, client_address) -> None:
+        try:
+            super().process_request_thread(request, client_address)
+        finally:
+            with self._connections_lock:
+                del self._connections[request]
+
+    def close_connections(self, grace: float) -> None:
+        """End every open connection and join its handler thread.
+
+        Shutting the read side wakes a handler idle between keep-alive
+        requests with EOF at once, while one still writing a response
+        gets to finish it; whatever is left after ``grace`` seconds is
+        cut both ways."""
+        for how, wait in ((socket.SHUT_RD, grace), (socket.SHUT_RDWR, 1.0)):
+            with self._connections_lock:
+                remaining = list(self._connections.items())
+            for sock, _ in remaining:
+                try:
+                    sock.shutdown(how)
+                except OSError:
+                    pass  # its handler closed it already
+            deadline = time.monotonic() + wait
+            for _, thread in remaining:
+                thread.join(max(0.0, deadline - time.monotonic()))
 
 
 class DetectionHTTPServer:
@@ -495,6 +646,7 @@ class DetectionHTTPServer:
         self._responding = 0
         self._draining = False
         self._counters = {
+            "connections_total": 0,  # accepted TCP connections
             "requests_total": 0,
             "responses_200": 0,
             "responses_429": 0,
@@ -549,25 +701,30 @@ class DetectionHTTPServer:
 
         New ``POST /v1/detect`` requests are refused with 503 the
         moment this is called; in-flight ones get up to
-        ``drain_timeout`` to finish before the listener closes.  The
-        underlying detection service is *not* stopped — it belongs to
-        the caller.
+        ``drain_timeout`` to finish before the listener closes.  Idle
+        keep-alive connections are then shut and every handler thread
+        joined, so none outlives this call.  The underlying detection
+        service is *not* stopped — it belongs to the caller.
         """
         with self._lock:
             self._draining = True
-        if drain:
-            deadline = time.monotonic() + self.drain_timeout
-            while time.monotonic() < deadline:
-                with self._lock:
-                    if self._inflight == 0 and self._responding == 0:
-                        break
-                time.sleep(0.01)
+        deadline = time.monotonic() + (self.drain_timeout if drain else 0.0)
+        while time.monotonic() < deadline:
+            with self._lock:
+                if self._inflight == 0 and self._responding == 0:
+                    break
+            time.sleep(0.01)
         if self._thread is not None:
             # shutdown() waits on an event only serve_forever() sets —
             # calling it on a never-started server would hang forever
             self._httpd.shutdown()
             self._thread.join(timeout=10)
             self._thread = None
+        # idle keep-alive connections park their handler threads in a
+        # read until the client sends again or the socket times out
+        self._httpd.close_connections(
+            max(0.0, deadline - time.monotonic())
+        )
         self._httpd.server_close()
 
     def __enter__(self) -> "DetectionHTTPServer":

@@ -12,9 +12,13 @@ from __future__ import annotations
 
 import http.client
 import json
+import os
+import socket
 import threading
 import time
 import urllib.error
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,11 +30,13 @@ from repro.runtime import (
     ShardedDetectionService,
     ThroughputStats,
 )
+from repro.runtime import server as server_module
 from repro.runtime.server import (
     DetectionHTTPServer,
     encode_npy,
     get_json,
     post_detect,
+    post_json,
     wait_for_health,
 )
 
@@ -68,12 +74,14 @@ class _StubService:
         self.gate = threading.Event()
         self.gate.set()  # complete immediately unless a test holds it
         self.submitted = []
+        self.handler_threads = []
 
     def submit(self, xs):
         xs = np.asarray(xs)
         if xs.ndim == 0 or len(xs) == 0:
             raise ValueError("workload is empty")
         self.submitted.append(xs)
+        self.handler_threads.append(threading.current_thread())
         return _StubFuture(len(xs), self.gate)
 
     def stats(self):
@@ -264,6 +272,13 @@ class TestProtocol:
             "service", "server", "alive_workers", "restarts",
             "blas_threads", "default_model", "models", "classes",
         }
+        assert set(stats["server"]) == {
+            "connections_total", "requests_total", "responses_200",
+            "responses_429", "client_errors", "server_errors", "inflight",
+            "max_inflight", "draining",
+        }
+        # the detect and the stats read share this thread's connection
+        assert stats["server"]["connections_total"] == 1
         assert stats["server"]["requests_total"] == 1
         assert stats["server"]["max_inflight"] == 1
         assert "samples_per_sec" in stats["service"]
@@ -456,6 +471,216 @@ class TestEndToEnd:
         assert wait_for_health(server.url, timeout=10.0)
         out = post_detect(server.url, xs)
         assert np.array_equal(np.asarray(out["scores"]), reference.scores)
+
+
+    def test_keep_alive_requests_do_not_stall(self, served_pool):
+        """Sequential 1-frame requests over one raw keep-alive
+        connection.  With Nagle's algorithm on the server socket, each
+        response body waited for the ACK of its header block, which the
+        client delays by ~40 ms."""
+        server, _, xs, reference = served_pool
+        before = server.stats_payload()["server"]["connections_total"]
+        conn = http.client.HTTPConnection(server.host, server.port, timeout=30)
+        times = []
+        try:
+            for i in range(10):
+                began = time.perf_counter()
+                conn.request(
+                    "POST", "/v1/detect", encode_npy(xs[i:i + 1]),
+                    {"Content-Type": "application/octet-stream"},
+                )
+                response = conn.getresponse()
+                out = json.loads(response.read())
+                times.append(time.perf_counter() - began)
+                assert response.status == 200
+                for key in (
+                    "scores", "predicted_classes", "is_adversarial",
+                    "similarities",
+                ):
+                    assert np.array_equal(
+                        np.asarray(out[key]), getattr(reference, key)[i:i + 1]
+                    ), f"request {i}: {key} differs from the engine"
+        finally:
+            conn.close()
+        assert server.stats_payload()["server"]["connections_total"] == (
+            before + 1
+        )
+        assert np.median(times) < 0.025, f"median {np.median(times):.4f} s"
+
+
+# -- keep-alive connection pool (stub service) --------------------------------
+
+class _DropSecondHandler(BaseHTTPRequestHandler):
+    """Answers the first POST on each connection and drops the second
+    unanswered: a keep-alive connection the server closed just as the
+    client reused it, after the request went out."""
+
+    protocol_version = "HTTP/1.1"
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        self.server.posts += 1
+        self.served = getattr(self, "served", 0) + 1
+        if self.served > 1:
+            self.close_connection = True
+            return
+        body = b'{"ok": true}'
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args):
+        pass
+
+
+class TestKeepAlive:
+    def test_calls_from_one_thread_share_one_connection(self, stub_server):
+        post_detect(stub_server.url, np.ones((2, 2)))
+        post_detect(stub_server.url, np.ones((3, 2)))
+        client = server_module._pool.pooled.conn.sock
+        peers = [
+            sock.getpeername()[1]
+            for sock in stub_server._httpd._connections
+        ]
+        assert peers == [client.getsockname()[1]]
+        for sock in (client, *stub_server._httpd._connections):
+            assert sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+        stats = get_json(stub_server.url, "/v1/stats")
+        assert stats["server"]["connections_total"] == 1
+
+    def test_refusals_close_the_connection_and_keep_the_error_contract(
+        self, stub, stub_server
+    ):
+        """400 and 429 refuse before reading the body, so they close
+        the connection; the client drops it and the next call from
+        the same thread goes through on a fresh one."""
+        xs = np.ones((2, 3))
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            post_detect(stub_server.url, xs, request_class="premium")
+        assert excinfo.value.code == 400
+        assert excinfo.value.headers["Connection"] == "close"
+        assert json.loads(excinfo.value.read())["code"] == "bad_request"
+        assert post_detect(stub_server.url, xs)["num_samples"] == 2
+
+        stub.gate.clear()  # park one request so the next is refused
+        parked = threading.Thread(
+            target=post_detect, args=(stub_server.url, xs)
+        )
+        parked.start()
+        deadline = time.monotonic() + 5.0
+        while stub_server.inflight < 1:
+            assert time.monotonic() < deadline, "request never admitted"
+            time.sleep(0.005)
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            post_detect(stub_server.url, xs)
+        stub.gate.set()
+        parked.join(timeout=10)
+        assert excinfo.value.code == 429
+        assert excinfo.value.headers["Retry-After"] == "1"
+        assert excinfo.value.headers["Connection"] == "close"
+        body = json.loads(excinfo.value.read())
+        assert set(body) == {"error", "code", "retry_after"}
+        assert body["code"] == "backpressure"
+        assert body["retry_after"] == 1.0
+        assert post_detect(stub_server.url, xs)["num_samples"] == 2
+        # the first connection closed after the 400, the second after
+        # the 429; the parked request came from its own thread
+        stats = get_json(stub_server.url, "/v1/stats")
+        assert stats["server"]["connections_total"] == 4
+
+    def test_oversized_body_closes_the_connection(self, stub):
+        with DetectionHTTPServer(stub, max_body_bytes=256) as server:
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                post_detect(server.url, np.ones((1, 200)))
+            assert excinfo.value.code == 413
+            assert excinfo.value.headers["Connection"] == "close"
+            assert post_detect(server.url, np.ones((1, 2)))[
+                "num_samples"
+            ] == 1
+
+    def test_connection_to_a_closed_server_is_replaced(self, stub):
+        """close() shuts idle keep-alive connections; a server started
+        again on the same port gets a fresh connection, for a hot-swap
+        POST too, since nothing was sent on the closed one."""
+        first = DetectionHTTPServer(stub).start()
+        post_detect(first.url, np.ones((1, 2)))
+        first.close()
+        with DetectionHTTPServer(stub, port=first.port) as second:
+            assert post_detect(second.url, np.ones((1, 2)))[
+                "num_samples"
+            ] == 1
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                post_json(second.url, "/v1/models", {"name": "x"})
+            assert excinfo.value.code == 404  # answered: no registry
+
+    @pytest.mark.parametrize("call", ["post_detect", "post_json"])
+    def test_request_dropped_on_a_reused_connection(self, call):
+        """Detection is idempotent, so a request lost on a reused
+        connection is sent again on a fresh one; a hot-swap POST may
+        have been acted on, so it raises and is never resent."""
+        httpd = ThreadingHTTPServer(("127.0.0.1", 0), _DropSecondHandler)
+        httpd.posts = 0
+        thread = threading.Thread(target=httpd.serve_forever, daemon=True)
+        thread.start()
+        url = f"http://127.0.0.1:{httpd.server_address[1]}"
+        send = (
+            (lambda: post_detect(url, np.ones((1, 2))))
+            if call == "post_detect"
+            else (lambda: post_json(url, "/v1/models", {"name": "x"}))
+        )
+        try:
+            assert send() == {"ok": True}
+            if call == "post_detect":
+                assert send() == {"ok": True}
+                assert httpd.posts == 3  # dropped, then resent
+            else:
+                with pytest.raises(ConnectionResetError):
+                    send()
+                assert httpd.posts == 2
+                assert send() == {"ok": True}  # a fresh connection
+        finally:
+            httpd.shutdown()
+            httpd.server_close()
+            thread.join(timeout=10)
+
+    def test_close_ends_idle_connections_and_their_threads(self, stub):
+        server = DetectionHTTPServer(stub).start()
+        raw = http.client.HTTPConnection(server.host, server.port, timeout=10)
+        try:
+            raw.request("GET", "/healthz")
+            raw.getresponse().read()
+            post_detect(server.url, np.ones((1, 2)))
+            handlers = [
+                t for t in threading.enumerate()
+                if t.name == f"detection-http-conn:{server.port}"
+            ]
+            assert len(handlers) == 2  # both parked between requests
+            assert stub.handler_threads[-1] in handlers
+            began = time.monotonic()
+            server.close()
+            assert time.monotonic() - began < 5.0
+            assert not [t for t in threading.enumerate() if t in handlers]
+        finally:
+            raw.close()
+
+    @pytest.mark.skipif(not Path("/proc/self/fd").exists(),
+                        reason="counts open descriptors in /proc")
+    def test_one_thread_keeps_at_most_one_pooled_socket(self, stub):
+        counts = {}
+
+        def client():
+            counts["before"] = len(os.listdir("/proc/self/fd"))
+            for _ in range(20):
+                with DetectionHTTPServer(stub) as server:
+                    post_detect(server.url, np.ones((1, 2)))
+            counts["after"] = len(os.listdir("/proc/self/fd"))
+
+        thread = threading.Thread(target=client)
+        thread.start()
+        thread.join(timeout=60)
+        assert counts["after"] - counts["before"] <= 1
 
 
 class TestRequestEncoding:
