@@ -446,7 +446,7 @@ def wait_for_health(
         try:
             if get_json(base_url, "/healthz")["status"] == "ok":
                 return True
-        except (urllib.error.URLError, OSError, ValueError, KeyError):
+        except (OSError, ValueError, KeyError):  # HTTPError is an OSError
             pass
         delay = policy.delay_for(attempt)
         attempt += 1
