@@ -4,8 +4,9 @@
 Re-runs the smoke grid ({bim, fgsm} x {ptolemy_fwab, ep} x
 {none, gaussian_noise@3}) through ``repro.suite.SuiteRunner``, checks
 each engine-scored scenario bit-identical to a direct
-``DetectionEngine.run``, and compares every scenario against the
-committed ``SUITE_baseline.json``:
+``DetectionEngine.run`` and to a ``DetectionEngine`` of batch size 1
+(batching must not change a score's bytes, under any BLAS build), and
+compares every scenario against the committed ``SUITE_baseline.json``:
 
 - detection AUC and TPR@0.1FPR may drop at most ``METRIC_TOLERANCE``
   (absolute) below the baseline.  Detection quality at fixed seeds does
@@ -52,6 +53,28 @@ GATED_METRICS = ("auc", "tpr_at_fpr")
 METRIC_TOLERANCE = 0.08
 
 
+def check_batch_of_one(runner, spec, scenario) -> None:
+    """Re-score ``spec``'s workload one frame per engine batch and
+    require the suite's score bytes, which the suite scored at its
+    default batch size."""
+    import numpy as np
+
+    from repro.runtime import DetectionEngine
+    from repro.suite import scores_digest
+
+    inputs, _, _ = runner.eval_arrays(spec)
+    engine = DetectionEngine(runner.fitted_defense(spec).detector,
+                             batch_size=1)
+    scores = np.ascontiguousarray(engine.run(inputs).scores,
+                                  dtype=np.float64)
+    if scores_digest(scores.tobytes()) != scenario["scores_digest"]:
+        raise SystemExit(
+            f"FATAL: {spec.scenario_id}: scores at engine batch size 1 "
+            f"differ from the suite's at batch size "
+            f"{runner.config.batch_size}"
+        )
+
+
 def run_suite() -> dict:
     """The smoke grid, bit-identity checked per cell.
 
@@ -79,6 +102,7 @@ def run_suite() -> dict:
                 runner.verify_bit_identity(spec, scenario)
             except RuntimeError as exc:
                 raise SystemExit(f"FATAL: {exc}") from exc
+            check_batch_of_one(runner, spec, scenario)
         metrics = scenario["metrics"]
         report[spec.scenario_id] = {
             "auc": metrics["auc"],

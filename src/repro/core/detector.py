@@ -267,7 +267,9 @@ class PtolemyDetector:
             is_adversarial=scores >= threshold,
             scores=scores,
             predicted_classes=extraction.predicted_classes,
-            similarities=features[:, 0] if features.size else np.empty(0),
+            # a copy, not a column view: a caller that keeps the
+            # similarities would otherwise keep the whole feature matrix
+            similarities=features[:, 0].copy() if features.size else np.empty(0),
             extraction=extraction,
         )
 

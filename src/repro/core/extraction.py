@@ -278,17 +278,20 @@ class PathExtractor:
         for unit_idx in self.config.extracted_indices():
             node = self.units[unit_idx]
             spec = self.config.layers[unit_idx]
-            values = self.model.activations[node.name].reshape(
-                batch_size, -1
-            )
+            acts = self.model.activations[node.name]
             if spec.mechanism is Thresholding.CUMULATIVE:
-                # rank outputs by value; cover theta of the positive mass
+                # rank outputs by value; cover theta of the positive mass,
+                # summed along one contiguous row per sample
+                values = np.ascontiguousarray(acts).reshape(batch_size, -1)
                 positive = np.clip(values, 0.0, None)
                 flags = _select_cumulative_batch(positive, spec.threshold)
             else:
-                flags = values > spec.threshold
+                # compare in the activation's own memory order (a conv
+                # output is batch-minor); packing reorders only the
+                # booleans
+                flags = (acts > spec.threshold).reshape(batch_size, -1)
             tap_flags.append(flags)
-            unit_meta.append((node, unit_idx, spec, values.shape[1]))
+            unit_meta.append((node, unit_idx, spec, flags.shape[1]))
         packed = PackedPathBatch.from_tap_bools(self._layout, tap_flags)
         if not collect_traces:
             return packed, None

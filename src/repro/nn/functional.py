@@ -2,9 +2,15 @@
 
 Average pooling unfolds its windows with :func:`im2col` and folds its
 column gradients back with :func:`col2im`; the convolution builds its
-GEMM operand directly (see :mod:`repro.nn.layers.conv`) and folds its
+GEMM operands directly (see :mod:`repro.nn.layers.conv`) and folds its
 gradients back with :func:`col2im` too.  Max pooling uses neither: it
 works on strided slices of its input (see :mod:`repro.nn.layers.pool`).
+
+Activations are logical (N, C, H, W) arrays in more than one memory
+order: a conv output is a view of batch-minor (C, H, W, N) memory.
+Layers whose results depend on the memory order they reduce or
+multiply in (global pooling, flattening before a Linear layer) first
+bring their input into a fixed order with :func:`maps_contiguous`.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ __all__ = [
     "im2col",
     "col2im",
     "conv_output_size",
+    "maps_contiguous",
     "softmax",
     "log_softmax",
     "one_hot",
@@ -31,6 +38,19 @@ def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
             f"stride={stride} padding={padding}"
         )
     return out
+
+
+def maps_contiguous(x: np.ndarray) -> np.ndarray:
+    """``x`` (N, C, H, W) with every H*W map contiguous in memory and N
+    and C in the input's memory order: a channel-major input, such as a
+    batch-minor (C, H, W, N) conv activation, becomes a view of (C, N,
+    H, W) memory, any other a view of (N, C, H, W) memory.  Each copies
+    only if it must.  Reductions over the maps (global pooling) and the
+    flattening of them then see one memory order per N/C order, however
+    the layer before laid out its output."""
+    if x.strides[1] > x.strides[0]:
+        return np.ascontiguousarray(x.swapaxes(0, 1)).swapaxes(0, 1)
+    return np.ascontiguousarray(x)
 
 
 def im2col_indices(

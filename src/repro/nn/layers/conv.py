@@ -1,10 +1,13 @@
 """2-D convolution with partial-sum introspection.
 
-The forward pass unfolds the padded input into the GEMM operand in a
-single copy (a strided window view made contiguous) and caches only the
-input; the backward pass rebuilds that operand from the cached input
-and folds the column gradients back with col2im, so both reduce to
-dense GEMMs and inference holds no operand between batches.  The
+Activations are logical ``(N, C, H, W)`` arrays.  The forward pass
+returns a view of a contiguous batch-minor ``(C, H, W, N)`` array, and
+it reads its input fastest when the input is one too: it stages the
+input in a zero-padded ``(C, Hp, Wp, N)`` buffer and builds the GEMM
+operand from it in k*k slab copies whose rows are ``ow * N`` doubles
+long.  Only the input is cached; the backward pass rebuilds the
+``(N, oh, ow)``-ordered operand from it and folds the column gradients
+back with col2im, so inference holds no operand between batches.  The
 Ptolemy introspection path recomputes the partial sums of a single
 output element on demand from the cached input, which is exactly the
 ``csps`` recompute strategy the paper's compiler emits (Sec. IV-B).
@@ -21,7 +24,25 @@ from numpy.lib.stride_tricks import sliding_window_view
 from repro.nn.functional import col2im, conv_output_size
 from repro.nn.module import Module, Parameter
 
-__all__ = ["Conv2d"]
+__all__ = ["Conv2d", "GEMM_COLUMN_ALIGN"]
+
+#: The forward GEMM's width is zero-padded to a multiple of this.  On
+#: the OpenBLAS 0.3.31 SkylakeX build numpy ships, a product whose width
+#: is not a multiple of 16 runs its last columns through narrow tail
+#: kernels that round differently (measured over K = 18..576: widths of
+#: 1-4 mod 8 give some columns other bytes than a wide product does),
+#: so the same output column got different bytes at different batch
+#: sizes.  At a multiple of 16 every column matches the one
+#: computed in a wide product, with one exception left: products small
+#: enough for OpenBLAS's small-matrix kernel (e.g. (64, 576) @ (576, 16))
+#: reduce K in another order.  This is a property of the BLAS build, so
+#: tests/test_kernel_bit_identity.py and the model-zoo test in
+#: tests/test_batch_equivalence.py check it on every machine.
+GEMM_COLUMN_ALIGN = 16
+
+
+def _aligned(n_cols: int) -> int:
+    return -(-n_cols // GEMM_COLUMN_ALIGN) * GEMM_COLUMN_ALIGN
 
 
 class Conv2d(Module):
@@ -71,33 +92,58 @@ class Conv2d(Module):
                                  self.padding)
         out_w = conv_output_size(width, self.kernel_size, self.stride,
                                  self.padding)
-        flat = self._gemm_operand(x)
+        n_cols = out_h * out_w * batch
         w_mat = self.weight.data.reshape(self.out_channels, -1)
-        # One flattened (o,f) @ (f, N*p) GEMM instead of an einsum: BLAS
-        # beats c_einsum ~2x at these shapes.  Cross-batch-size
-        # bit-identity is an empirical property of the BLAS build (GEMM
-        # k-reduction blocking does not depend on the column count on
-        # OpenBLAS/MKL; verified bitwise for N in 1..256 here) — it is
-        # not guaranteed by the standard, so the batch-equivalence tests
-        # and the engine's cross-batch-size test enforce it on every
-        # machine rather than trusting this comment.
-        out = (
-            (w_mat @ flat)
-            .reshape(self.out_channels, batch, out_h * out_w)
-            .transpose(1, 0, 2)
-        )
+        # One (o, f) @ (f, oh*ow*N) GEMM.  Its width is zero-padded to a
+        # multiple of GEMM_COLUMN_ALIGN so that no real column lands in
+        # the narrow tail kernels OpenBLAS runs on a ragged remainder:
+        # there a column's bytes depend on the width, so on the batch
+        # size.  See GEMM_COLUMN_ALIGN for the measured rule.
+        out = (w_mat @ self._slab_operand(x, out_h, out_w))[:, :n_cols]
         if self.bias is not None:
-            out = out + self.bias.data[None, :, None]
-        out = out.reshape(batch, self.out_channels, out_h, out_w)
+            out += self.bias.data[:, None]
+        # copies only when the width was padded
+        out = np.ascontiguousarray(out).reshape(
+            self.out_channels, out_h, out_w, batch
+        )
         self._cache = {"x": x}
         self._in_shape = x.shape
         self._out_hw = (out_h, out_w)
-        return out
+        return out.transpose(3, 0, 1, 2)
+
+    def _slab_operand(self, x: np.ndarray, out_h: int,
+                      out_w: int) -> np.ndarray:
+        """The (C*k*k, oh*ow*N) GEMM operand of ``x``, zero-padded to a
+        multiple of GEMM_COLUMN_ALIGN columns: one strided slab copy
+        per kernel offset out of the padded (C, Hp, Wp, N) staging
+        buffer, each row ``ow * N`` doubles long."""
+        batch, channels, height, width = x.shape
+        k, stride, pad = self.kernel_size, self.stride, self.padding
+        batch_minor = x.transpose(1, 2, 3, 0)
+        if pad > 0:
+            staging = np.zeros(
+                (channels, height + 2 * pad, width + 2 * pad, batch)
+            )
+            staging[:, pad:pad + height, pad:pad + width] = batch_minor
+        else:
+            staging = batch_minor
+        n_cols = out_h * out_w * batch
+        cols = np.empty((channels * k * k, _aligned(n_cols)))
+        cols[:, n_cols:] = 0.0
+        slabs = cols[:, :n_cols].reshape(channels, k, k, out_h, out_w, batch)
+        span_h, span_w = stride * (out_h - 1) + 1, stride * (out_w - 1) + 1
+        for ky in range(k):
+            for kx in range(k):
+                slabs[:, ky, kx] = staging[
+                    :, ky:ky + span_h:stride, kx:kx + span_w:stride
+                ]
+        return cols
 
     def _gemm_operand(self, x: np.ndarray) -> np.ndarray:
-        """The (f, N*p) GEMM operand of ``x``, with f = C*kh*kw and
-        p = oh*ow, in one copy: a strided window view of the padded
-        input, transposed to (C, kh, kw, N, oh, ow) and made contiguous."""
+        """The (f, N*p) operand of the weight gradient, with f = C*kh*kw
+        and p = oh*ow, in one copy: a strided window view of the padded
+        input, transposed to (C, kh, kw, N, oh, ow) and made
+        contiguous."""
         batch, channels, height, width = x.shape
         k, stride, pad = self.kernel_size, self.stride, self.padding
         if pad > 0:

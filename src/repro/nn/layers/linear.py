@@ -42,13 +42,17 @@ class Linear(Module):
         if self.training:
             out = x @ self.weight.data.T
         else:
-            # einsum (not BLAS matmul): its reduction order is independent
-            # of the batch size, so batch-N and batch-1 inference forwards
-            # are bit-identical — the invariant the batched detection
-            # engine's equivalence guarantee rests on.  Training sticks
-            # with the faster BLAS path (like BatchNorm, train and eval
-            # modes are allowed different numerics).
-            out = np.einsum("nk,ok->no", x, self.weight.data)
+            # einsum (not BLAS matmul) over C-contiguous rows: each row
+            # is then reduced the same way at every batch size, so
+            # batch-N and batch-1 inference forwards are bit-identical —
+            # the invariant the batched detection engine's equivalence
+            # guarantee rests on.  Over a strided input, such as the
+            # (C, N) memory a global pool leaves, einsum's reduction
+            # order depends on the batch size, hence the copy.  Training
+            # sticks with the faster BLAS path (like BatchNorm, train
+            # and eval modes are allowed different numerics).
+            out = np.einsum("nk,ok->no", np.ascontiguousarray(x),
+                            self.weight.data)
         if self.bias is not None:
             out = out + self.bias.data
         return out

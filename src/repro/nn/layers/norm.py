@@ -38,11 +38,14 @@ class _BatchNorm(Module):
     def _shape_for(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def _batch_stats(self, x: np.ndarray, axes):
+        """Per-feature mean and (biased) variance of a training batch."""
+        return x.mean(axis=axes), x.var(axis=axes)
+
     def forward(self, x: np.ndarray) -> np.ndarray:
         axes = self._reduce_axes(x)
         if self.training:
-            mean = x.mean(axis=axes)
-            var = x.var(axis=axes)
+            mean, var = self._batch_stats(x, axes)
             count = x.size / self.num_features
             unbiased = var * count / max(count - 1, 1)
             self.running_mean = (
@@ -91,6 +94,14 @@ class BatchNorm2d(_BatchNorm):
 
     def _shape_for(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         return v[None, :, None, None]
+
+    def _batch_stats(self, x: np.ndarray, axes):
+        # Each channel's (N, H, W) block is reduced as one contiguous
+        # row, whatever the memory order of x (a conv output is
+        # batch-minor): the sums then do not depend on how the layer
+        # before laid out its output.
+        rows = x.transpose(1, 0, 2, 3).reshape(self.num_features, -1)
+        return rows.mean(axis=1), rows.var(axis=1)
 
 
 class BatchNorm1d(_BatchNorm):

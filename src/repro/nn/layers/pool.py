@@ -1,12 +1,16 @@
 """Pooling layers with positional importance propagation.
 
 Max pooling computes its output as a running maximum over the k*k
-strided slices of the input and caches only the input.  The argmax of
-every window, which backward importance propagation needs to map an
-important pooled position to the exact input element that produced
-it, is computed on first read and then kept for the batch, so
-inference never pays for it.  Average pooling maps an output position
-to its whole window (every element contributed).
+strided slices of the input and caches only the input; the output keeps
+the input's memory order, so a batch-minor (C, H, W, N) conv activation
+(see :mod:`repro.nn.layers.conv`) reaches the next conv batch-minor.
+The argmax of every window, which backward importance propagation
+needs to map an important pooled position to the exact input element
+that produced it, is computed on first read and then kept for the
+batch, so inference never pays for it.  Average pooling maps an output
+position to its whole window (every element contributed).  Average
+and global pooling reduce in an order that does not depend on the
+input's memory order.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.nn.functional import conv_output_size, im2col
+from repro.nn.functional import conv_output_size, im2col, maps_contiguous
 from repro.nn.module import Module
 
 __all__ = ["MaxPool2d", "AvgPool2d", "GlobalAvgPool2d"]
@@ -74,8 +78,9 @@ class MaxPool2d(_Pool2d):
         windows = self._window_slices(x)
         # np.maximum(a, b) returns b when a == b, so the running maximum
         # as second operand keeps the first of tied values (+0.0 and -0.0
-        # tie), as argmax does ...
-        out = windows[0].copy()
+        # tie), as argmax does ...  The output keeps the input's memory
+        # order, so a batch-minor conv activation stays batch-minor.
+        out = windows[0].copy(order="K")
         for window in windows[1:]:
             np.maximum(window, out, out=out)
         # ... but of two NaNs it returns a: write back the first NaN of
@@ -94,8 +99,8 @@ class MaxPool2d(_Pool2d):
         if argmax is not None:
             return argmax
         windows = self._window_slices(self._cache["x"])
-        best = windows[0].copy()
-        argmax = np.zeros(best.shape, dtype=np.intp)
+        best = windows[0].copy(order="K")
+        argmax = np.zeros_like(best, dtype=np.intp)
         for i, window in enumerate(windows[1:], start=1):
             # strict >, made NaN-aware: not (window <= best) also holds
             # where window is NaN; best == best fails once best is NaN
@@ -175,7 +180,9 @@ class GlobalAvgPool2d(Module):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._cache = {"x_shape": x.shape}
-        return x.mean(axis=(2, 3))
+        # each map is summed as one contiguous run; the (N, C) result
+        # keeps the memory order of N and C
+        return maps_contiguous(x).mean(axis=(2, 3))
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         batch, channels, height, width = self._cache["x_shape"]

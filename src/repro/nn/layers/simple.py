@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.nn.functional import maps_contiguous
 from repro.nn.module import Module
 
 __all__ = ["ReLU", "Flatten", "Dropout", "Identity"]
@@ -42,12 +43,16 @@ class Flatten(Module):
     """Reshape (N, C, H, W) -> (N, C*H*W).
 
     Flat positions are identical before and after, so importance
-    propagation is the identity on flat indices.
+    propagation is the identity on flat indices.  The maps are made
+    contiguous first (:func:`~repro.nn.functional.maps_contiguous`), so
+    the Linear layer after sees one memory order per N/C order of its
+    input, however the layer before laid out its output: BLAS rounds a
+    C-ordered and an F-ordered operand differently.
     """
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._cache = {"shape": x.shape}
-        return x.reshape(x.shape[0], -1)
+        return maps_contiguous(x).reshape(x.shape[0], -1)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         return grad_out.reshape(self._cache["shape"])
