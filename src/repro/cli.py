@@ -50,19 +50,13 @@ def _add_pool_args(parser, *, workers: int, models: bool = False) -> None:
 
     ``serve``, ``throughput``, and ``suite`` all front the same
     :class:`~repro.runtime.ShardedDetectionService`; this is the one
-    place its vocabulary (``--workers``/``--pin``/``--scheduler``,
-    plus the repeatable ``--model``
-    for multi-model commands) is defined, so the front-ends cannot
-    drift apart.
+    place its vocabulary (``--workers``, plus the repeatable
+    ``--model`` for multi-model commands) is defined, so the
+    front-ends cannot drift apart.
     """
     parser.add_argument("--workers", type=int, default=workers,
                         help="worker processes in the sharded pool "
                         f"(default {workers})")
-    parser.add_argument("--pin", action="store_true",
-                        help="pin each worker to a disjoint CPU set "
-                        "(os.sched_setaffinity; no-op where unsupported)")
-    parser.add_argument("--scheduler", default="round-robin",
-                        choices=["round-robin", "least-loaded"])
     if models:
         parser.add_argument("--model", action="append", default=None,
                             metavar="NAME=SPEC",
@@ -408,8 +402,6 @@ def cmd_throughput(args) -> None:
                 worker_counts=(args.workers,),
                 batch_size=batch_size,
                 state=state,
-                scheduler=args.scheduler,
-                pin_workers=args.pin,
             )[args.workers])
             for batch_size in args.batch_sizes
         ]
@@ -458,7 +450,6 @@ def _throughput_models(args, workbench, detector, traffic) -> None:
         service = ShardedDetectionService(
             state=state, model_factory=workbench.model_factory,
             num_workers=workers, batch_size=batch_size,
-            scheduler=args.scheduler, pin_workers=args.pin,
         )
         for name, model_state, model_threshold in extra:
             service.load_model(
@@ -493,8 +484,7 @@ def _serve_http(args, workbench, threshold, extra_models=()) -> None:
 
     service = workbench.service(
         args.variant, num_workers=args.workers,
-        batch_size=args.batch_size, scheduler=args.scheduler,
-        threshold=threshold, pin_workers=args.pin,
+        batch_size=args.batch_size, threshold=threshold,
     )
     for name, state, model_threshold in extra_models:
         service.load_model(
@@ -570,9 +560,7 @@ def cmd_serve(args) -> None:
         _serve_http(args, workbench, threshold, extra_models)
         return
     print(f"deploying {args.workers}-worker service: "
-          f"threshold={threshold:.2f} (target FPR {args.fpr}), "
-          f"scheduler={args.scheduler}"
-          f"{', pinned' if args.pin else ''}"
+          f"threshold={threshold:.2f} (target FPR {args.fpr})"
           f"{f', +{len(extra_models)} extra models' if extra_models else ''}")
     frames, is_attack = workbench.traffic(
         attack=args.attack, count=args.count,
@@ -580,8 +568,7 @@ def cmd_serve(args) -> None:
     )
     service = workbench.service(
         args.variant, num_workers=args.workers,
-        batch_size=args.batch_size, scheduler=args.scheduler,
-        threshold=threshold, pin_workers=args.pin,
+        batch_size=args.batch_size, threshold=threshold,
     )
     for name, state, model_threshold in extra_models:
         service.load_model(
@@ -688,8 +675,7 @@ def cmd_suite(args) -> None:
             print("--service: grid has no engine-scored scenarios to check")
         else:
             digest = runner.verify_service_identity(
-                spec, num_workers=args.workers, scheduler=args.scheduler,
-                pin_workers=args.pin,
+                spec, num_workers=args.workers,
             )
             print(f"service identity: {spec.scenario_id} through a "
                   f"{args.workers}-worker ShardedDetectionService matches "
@@ -880,9 +866,9 @@ def build_parser() -> argparse.ArgumentParser:
                                         "cwl2", "jsma"], default="bim")
     p.add_argument("--attack-rate", type=float, default=0.33)
     p.add_argument("--fpr", type=float, default=0.1)
-    # not flags: perfbench/workload_http.py reads all three defaults
+    # not flags: perfbench/workload_http.py reads all five defaults
     p.set_defaults(func=cmd_serve, backend=None, transport=None,
-                   slo_ms=None)
+                   slo_ms=None, scheduler=None, pin=False)
 
     p = sub.add_parser(
         "suite", help="run a scenario grid, write per-scenario JSON "
@@ -908,8 +894,8 @@ def build_parser() -> argparse.ArgumentParser:
                    "DetectionEngine.run of the same workload")
     p.add_argument("--service", action="store_true",
                    help="additionally score one engine-scored cell "
-                   "through a ShardedDetectionService pool (configured "
-                   "by the --workers/--scheduler/--pin flags) and verify "
+                   "through a ShardedDetectionService pool of --workers "
+                   "workers and verify "
                    "its scores match DetectionEngine.run bit-for-bit")
     _add_pool_args(p, workers=2)
     p.add_argument("--fpr", type=float, default=0.1,

@@ -250,7 +250,6 @@ class Workbench:
         variant: str = "FwAb",
         num_workers: int = 2,
         batch_size: int = 64,
-        scheduler: str = "round-robin",
         threshold: float = 0.5,
         **kwargs,
     ):
@@ -267,7 +266,6 @@ class Workbench:
             model_factory=self.model_factory,
             num_workers=num_workers,
             batch_size=batch_size,
-            scheduler=scheduler,
             threshold=threshold,
             **kwargs,
         )

@@ -5,8 +5,8 @@ package drives streaming workloads through the vectorized detection
 pipeline in fixed-size micro-batches: :class:`MicroBatcher` shapes
 arrival streams into batches, :class:`DetectionEngine` runs them
 through the packed-word detection kernels with warm canary caches, :class:`ShardedDetectionService` fans
-that engine out over a pool of worker processes (pluggable scheduling,
-ordered aggregation, crash recovery),
+that engine out over a pool of worker processes (per-shard credit
+dispatch from one class queue, ordered aggregation, crash recovery),
 :class:`ModelRegistry` gives that pool named+versioned multi-model
 routing with hot-swap (:mod:`repro.runtime.registry`, including the
 per-request :class:`RequestClass` priority ladder),
@@ -56,16 +56,6 @@ from repro.runtime.service import (
     ShardedDetectionService,
     measure_worker_scaling,
 )
-from repro.runtime.sharding import (
-    SCHEDULERS,
-    LeastLoadedScheduler,
-    RoundRobinScheduler,
-    ShardLoad,
-    ShardScheduler,
-    make_scheduler,
-    merge_shard_stats,
-    plan_worker_affinity,
-)
 from repro.runtime.server import DetectionHTTPServer, RetryPolicy
 from repro.runtime.stats import StageTimer, ThroughputStats
 
@@ -95,12 +85,4 @@ __all__ = [
     "ServiceResult",
     "ShardedDetectionService",
     "measure_worker_scaling",
-    "SCHEDULERS",
-    "ShardLoad",
-    "ShardScheduler",
-    "RoundRobinScheduler",
-    "LeastLoadedScheduler",
-    "make_scheduler",
-    "merge_shard_stats",
-    "plan_worker_affinity",
 ]

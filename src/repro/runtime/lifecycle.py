@@ -9,15 +9,31 @@ the service lock and carry out the :class:`Effects` it returns.
 
 Events, one method each:
 
-* requests — ``submit``, ``dispatch``, ``finish`` (a chunk result,
-  late duplicates included), ``fail_seq`` (a per-batch worker error),
-  ``cancel``, ``abort``;
+* requests — ``submit``, ``finish`` (a chunk result, late duplicates
+  included), ``fail_seq`` (a per-batch worker error), ``cancel``,
+  ``abort``;
 * shards — ``add_shard``, ``ready``, ``mark_broken`` (or hung),
   ``reap`` (dead or hung, with requeue), ``redeliver`` (task timeout),
   ``inject``, ``stop``, ``shutdown``;
 * hot-swap — ``load``, ``loaded`` (a worker's ack),
   ``retire_when_drained`` (after a promote) and ``unload`` (retire or
   roll back).
+
+Dispatch is the last step of every event that queues a task or frees
+a credit (``submit``, ``finish``, ``fail_seq``, ``ready``,
+``redeliver``, ``reap``); its sends come back in that event's
+:class:`Effects`.  Each shard has :data:`SHARD_CREDITS` credits: a
+dispatch takes one, and the batch's result or error, its redelivery
+or its shard's reap gives it back.  A queued chunk goes to the eligible
+shard with the most free credits (ties to the lowest id); while no
+shard has one, chunks wait in the core's queue, ordered by (class
+priority, the chunk's index within its request, arrival).  A new
+1-chunk request therefore waits only for what is already in flight,
+never for a large request's queued tail.  Under sustained overload of
+small requests a large request's later chunks keep waiting; the HTTP
+front-end's admission bound (``--max-inflight`` 429s) is what limits
+that.  ``stop`` hands every queued open task to the live shards,
+credits aside, so a request accepted before it still completes.
 
 Invariants (checked over generated interleavings by
 ``tests/test_runtime_lifecycle.py``):
@@ -30,7 +46,9 @@ Invariants (checked over generated interleavings by
 * A request's chunks reassemble in submission order, and every batch
   it sends carries the request's one model version.
 * Each dispatch leaves its shard's in-flight set exactly once: by the
-  shard's result or error, by redelivery, or by the shard's reap.
+  shard's result or error, by redelivery, or by the shard's reap.  A
+  shard that is not stopping never holds more than
+  :data:`SHARD_CREDITS` in flight.
 * A version retires only when none of its requests is open, and it is
   unloaded from the workers through one path (``_unload``).
 """
@@ -44,12 +62,14 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.runtime.registry import REQUEST_CLASSES, RequestClass
-from repro.runtime.sharding import ShardLoad, ShardScheduler
 from repro.runtime.stats import ThroughputStats
 
-__all__ = ["Effects", "LifecycleCore", "ServiceError"]
+__all__ = ["Effects", "LifecycleCore", "SHARD_CREDITS", "ServiceError"]
 
 Key = Tuple[str, int]
+
+#: Batches one shard may hold in flight (sent, no result yet).
+SHARD_CREDITS = 2
 
 #: Window of per-class enqueue→dispatch waits kept for percentiles.
 WAIT_WINDOW = 4096
@@ -98,12 +118,9 @@ class ShardState:
     """The core's view of one worker."""
 
     shard_id: int
-    slot: int  # affinity-plan slot; a replacement reuses a freed one
     spawned_at: float
     loaded: Set[Key]  # versions it holds (for the hot-swap barrier)
     inflight: Dict[int, Task] = field(default_factory=dict)
-    inflight_samples: int = 0
-    dispatched_batches: int = 0
     ready: bool = False
     broken: bool = False
     stopping: bool = False
@@ -118,10 +135,10 @@ class ShardState:
         """Can take traffic: ready, neither broken nor stopping."""
         return self.ready and not self.broken and not self.stopping
 
-    def release(self, seq: int) -> None:
-        task = self.inflight.pop(seq, None)
-        if task is not None:
-            self.inflight_samples -= len(task.batch)
+    @property
+    def credits(self) -> int:
+        """Free credits: batches it may still be sent."""
+        return SHARD_CREDITS - len(self.inflight)
 
 
 @dataclass
@@ -150,13 +167,10 @@ class Effects:
 
 class LifecycleCore:
     """Request, shard and version bookkeeping of the sharded service:
-    ``num_slots`` affinity slots (the pool size), a lifetime budget of
-    ``max_restarts`` respawns, ``now`` from any monotonic clock."""
+    a lifetime budget of ``max_restarts`` respawns, ``now`` from any
+    monotonic clock."""
 
-    def __init__(self, scheduler: ShardScheduler, num_slots: int,
-                 max_restarts: int):
-        self.scheduler = scheduler
-        self.num_slots = num_slots
+    def __init__(self, max_restarts: int):
         self.max_restarts = max_restarts
         self.restarts = 0
         self.shards: Dict[int, ShardState] = {}
@@ -164,8 +178,8 @@ class LifecycleCore:
         self.shard_stats: Dict[int, ThroughputStats] = {}
         self.versions: Dict[Key, Version] = defaultdict(Version)
         self.open_seqs: Dict[int, Request] = {}
-        # class-priority heap of (priority, FIFO tie-breaker, task)
-        self._pending: List[Tuple[int, int, Task]] = []
+        # heap of (class priority, chunk index, FIFO tie-breaker, task)
+        self._pending: List[Tuple[int, int, int, Task]] = []
         self._order = itertools.count()
         self._next_seq = 0
         self._next_shard = 0
@@ -208,9 +222,9 @@ class LifecycleCore:
 
     # -- requests ---------------------------------------------------------
     def submit(self, key: Key, cls: RequestClass, batches: Sequence,
-               owner: Any, now: float) -> Request:
-        """Open a request of ``batches`` chunks on version ``key`` and
-        queue one task per chunk."""
+               owner: Any, now: float) -> Tuple[Request, Effects]:
+        """Open a request of ``batches`` chunks on version ``key``,
+        queue one task per chunk and dispatch."""
         version = self.versions[key]
         version.requests += 1
         version.open += 1
@@ -223,58 +237,59 @@ class LifecycleCore:
         for seq, batch in zip(request.seqs, batches):
             self.open_seqs[seq] = request
             self._queue(Task(seq, request, batch), now)
-        return request
+        return request, self._dispatch(now, Effects())
 
     def _queue(self, task: Task, now: float) -> None:
-        """Higher classes (lower priority number) dispatch first, FIFO
-        within a class."""
+        """Higher classes (lower priority number) dispatch first; within
+        a class, earlier chunks of their request first, then FIFO.  A
+        requeued task keeps its index."""
         task.enqueued_at = now
-        heapq.heappush(
-            self._pending,
-            (task.request.cls.priority, next(self._order), task),
-        )
+        heapq.heappush(self._pending, (
+            task.request.cls.priority, task.seq - task.request.seqs.start,
+            next(self._order), task,
+        ))
 
-    def dispatch(self, now: float) -> Optional[Effects]:
-        """Send the best queued task to the shard the scheduler picks;
-        ``None`` when nothing can move.  The one test of "is this seq
+    def _dispatch(self, now: float, fx: Effects,
+                  credits: bool = True) -> Effects:
+        """Send queued tasks, best first, each to the eligible shard
+        with the most free credits, while one has a credit (``credits``
+        false: regardless of credits).  The one test of "is this seq
         still open": a requeued copy whose original result already came
         back, or whose request failed, is dropped here, never sent."""
         eligible = self.eligible()
         while self._pending and eligible:
-            _, _, task = heapq.heappop(self._pending)
+            shard = max(eligible, key=lambda s: s.credits)
+            if credits and shard.credits <= 0:
+                break
+            task = heapq.heappop(self._pending)[-1]
             if task.seq not in self.open_seqs:
                 continue
-            shard = self.shards[self.scheduler.choose([
-                ShardLoad(s.shard_id, len(s.inflight), s.inflight_samples,
-                          s.dispatched_batches)
-                for s in eligible
-            ])]
             task.dispatched_at = now
             self.class_waits[task.request.cls.name].append(
                 now - task.enqueued_at
             )
             shard.inflight[task.seq] = task
-            shard.inflight_samples += len(task.batch)
-            shard.dispatched_batches += 1
             if self.drop_next > 0 and not shard.faulted:
-                # injected drop: accounted in flight, never sent
+                # injected drop: holds a credit, never sent
                 self.drop_next -= 1
                 self.faults["descriptor_drops"] += 1
-                return Effects()
+                continue
             self.sent_batches += 1
-            return Effects(sends=[(shard.shard_id, (
+            fx.sends.append((shard.shard_id, (
                 "batch", task.seq, task.request.key, task.batch,
-            ))])
-        return None
+            )))
+        return fx
 
-    def finish(self, shard_id: int, seq: int, chunk: dict) -> Effects:
+    def finish(self, shard_id: int, seq: int, chunk: dict,
+               now: float) -> Effects:
         """A worker returned a chunk result (``size``/``seconds``/
         ``stages`` plus the decision arrays)."""
-        self.shards[shard_id].release(seq)
+        self.shards[shard_id].inflight.pop(seq, None)
         request = self.open_seqs.pop(seq, None)
         fx = Effects()
         if request is None:
-            return fx  # late duplicate of a redelivered or failed seq
+            # late duplicate of a redelivered or failed seq
+            return self._dispatch(now, fx)
         index = seq - request.seqs.start
         # lifetime accounting: reaped shards' results still count
         for stats in (
@@ -289,17 +304,20 @@ class LifecycleCore:
         if request.remaining == 0:
             self._close(request, fx)
             fx.done.append(request)
-        return fx
+        return self._dispatch(now, fx)
 
-    def fail_seq(self, shard_id: int, seq: int, message: str) -> Effects:
+    def fail_seq(self, shard_id: int, seq: int, message: str,
+                 now: float) -> Effects:
         """A worker hit a deterministic per-batch error: requeueing
         would loop, so the whole request fails."""
-        self.shards[shard_id].release(seq)
-        if seq not in self.open_seqs:
-            return Effects()
-        return self._fail(
-            self.open_seqs[seq], f"worker failed processing batch: {message}"
-        )
+        self.shards[shard_id].inflight.pop(seq, None)
+        fx = Effects()
+        if seq in self.open_seqs:
+            self._fail(
+                self.open_seqs[seq],
+                f"worker failed processing batch: {message}", fx,
+            )
+        return self._dispatch(now, fx)
 
     def cancel(self, request: Request) -> Optional[Effects]:
         """Abandon an open request (``None`` if it already resolved)."""
@@ -335,28 +353,23 @@ class LifecycleCore:
 
     # -- shards -----------------------------------------------------------
     def add_shard(self, loaded: Set[Key], now: float) -> ShardState:
-        """A new worker holding ``loaded`` versions, on the lowest
-        affinity slot no live shard holds (a replacement inherits the
-        CPU share of the shard it replaces)."""
-        held = {s.slot for s in self.shards.values()}
+        """A new worker holding ``loaded`` versions."""
         shard_id = self._next_shard
         self._next_shard += 1
-        slot = next(
-            (s for s in range(self.num_slots) if s not in held),
-            shard_id % self.num_slots,
-        )
         shard = self.shards[shard_id] = ShardState(
-            shard_id, slot, now, set(loaded)
+            shard_id, now, set(loaded)
         )
         self.shard_stats[shard_id] = ThroughputStats()
         return shard
 
     def ready(self, shard_id: int, now: float,
-              blas_threads: Optional[int] = None) -> None:
+              blas_threads: Optional[int] = None) -> Effects:
+        """The worker is warm: it may take traffic."""
         shard = self.shards[shard_id]
         shard.ready = True
         shard.blas_threads = blas_threads
         self.spawn_seconds.append(now - shard.spawned_at)
+        return self._dispatch(now, Effects())
 
     def mark_broken(self, shard_id: int, hung: bool = False) -> None:
         """The shard's stream failed, it reported a fatal start-up
@@ -365,7 +378,7 @@ class LifecycleCore:
         self.shards[shard_id].broken = True
         self.faults["hung_reaps"] += hung
 
-    def redeliver(self, now: float, timeout: float) -> int:
+    def redeliver(self, now: float, timeout: float) -> Effects:
         """Requeue (and count) every batch in flight on a healthy shard
         for over ``timeout``: a lost message never comes back on its
         own, and a late original is a harmless duplicate."""
@@ -377,12 +390,12 @@ class LifecycleCore:
             if now - task.dispatched_at > timeout
         ]
         for shard, task in overdue:
-            shard.release(task.seq)
+            del shard.inflight[task.seq]
             self._queue(task, now)
         self.faults["redelivered_tasks"] += len(overdue)
-        return len(overdue)
+        return self._dispatch(now, Effects())
 
-    def reap(self, shard_id: int, now: float) -> bool:
+    def reap(self, shard_id: int, now: float) -> Tuple[bool, Effects]:
         """Drop a dead or hung shard and requeue its in-flight work;
         returns whether the restart budget allows (and pays for) a
         replacement."""
@@ -390,12 +403,9 @@ class LifecycleCore:
         self.faults["dead_reaps"] += 1
         for task in shard.inflight.values():
             self._queue(task, now)
-        # stateful schedulers may drop any per-shard cursor they keep
-        self.scheduler.reset()
-        if self.restarts < self.max_restarts:
-            self.restarts += 1
-            return True
-        return False
+        respawn = self.restarts < self.max_restarts
+        self.restarts += respawn
+        return respawn, self._dispatch(now, Effects())
 
     def inject(self, kind: str, shard_id: Optional[int],
                *args) -> Tuple[int, Effects]:
@@ -413,10 +423,12 @@ class LifecycleCore:
         self.faults[counter] += 1
         return target, Effects(sends=[(target, (verb,) + args)])
 
-    def stop(self) -> Effects:
-        """Stop taking traffic; every shard is told to exit once its
+    def stop(self, now: float) -> Effects:
+        """Stop taking traffic: hand every queued open task to the live
+        shards, credits aside, then tell every shard to exit once its
         queued work is done."""
-        fx = Effects(sends=self._broadcast(("stop",)))
+        fx = self._dispatch(now, Effects(), credits=False)
+        fx.sends.extend(self._broadcast(("stop",)))
         for shard in self.shards.values():
             shard.stopping = True
         return fx

@@ -771,7 +771,7 @@ class DetectionHTTPServer:
                 for spec, stats in self.service.model_stats().items()
             }
         # per-class enqueue→dispatch wait percentiles (absent for stubs
-        # without the dispatcher-side recording)
+        # without the lifecycle core's recording)
         wait_fn = getattr(self.service, "class_wait_stats", None)
         class_waits = wait_fn() if callable(wait_fn) else {}
         blas_fn = getattr(self.service, "blas_threads", None)

@@ -2,10 +2,11 @@
 
 :class:`ShardedDetectionService` scales :class:`DetectionEngine`
 beyond one process: a pool of worker processes each holds its own
-engine (with a pre-warmed packed-canary cache), fed by an async
-submission queue through a pluggable :mod:`~repro.runtime.sharding`
-scheduler.  The fitted detector is flattened once with
-:func:`repro.core.detector_to_state` and broadcast to every worker at
+engine (with a pre-warmed packed-canary cache), fed through one class
+queue by per-shard credits (each shard holds at most
+:data:`~repro.runtime.lifecycle.SHARD_CREDITS` batches in flight; the
+rest wait, best class first).  The fitted detector is flattened once
+with :func:`repro.core.detector_to_state` and broadcast to every worker at
 startup — per-request traffic is only raw sample arrays and decision
 arrays, never model state.
 
@@ -39,16 +40,19 @@ Guarantees:
   ``"default"`` and is bit-identical to the pre-registry service.
   Requests also carry a :class:`~repro.runtime.registry.RequestClass`
   (``interactive``/``standard``/``batch``): higher classes jump the
-  dispatch queue.  Every request is chunked at the one fixed
-  ``batch_size``, whatever its model or class.
+  dispatch queue and take the next free credit.  Every request is
+  chunked at the one fixed ``batch_size``, whatever its model or
+  class.
 
 All request → task → seq → shard → completion bookkeeping lives in
 the I/O-free :class:`~repro.runtime.lifecycle.LifecycleCore` (its
-docstring lists the events and invariants).  This module's threads and
-hot-swap calls only feed it events under ``self._lock`` and do the
-queue puts, process spawns and future resolution it asks for.  The
-dispatcher, ``start()`` and ``load_model()`` wait on one condition,
-notified when a shard is ready, a load is acked, or a task is queued.
+docstring lists the events and invariants).  This module's callers,
+its collector thread and its hot-swap calls only feed it events under
+``self._lock`` and do the queue puts, process spawns and future
+resolution it asks for; there is no dispatcher thread, since every
+event that can dispatch returns its sends.  ``start()`` and
+``load_model()`` wait on one condition, notified when a shard is
+ready, a load is acked, a shard is reaped, or the pool stops or fails.
 """
 
 from __future__ import annotations
@@ -61,7 +65,7 @@ import threading
 import time
 from dataclasses import dataclass
 from multiprocessing.connection import wait as wait_for_readers
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -80,12 +84,6 @@ from repro.runtime.registry import (
     UnknownModelError,
     parse_model_spec,
     resolve_request_class,
-)
-from repro.runtime.sharding import (
-    ShardScheduler,
-    make_scheduler,
-    merge_shard_stats,
-    plan_worker_affinity,
 )
 from repro.runtime.stats import ThroughputStats
 from repro.runtime.threads import cpu_share, limit_blas_threads
@@ -146,7 +144,6 @@ def _worker_main(
     task_queue,
     result_queue,
     heartbeat,
-    pin_cpus: Optional[Tuple[int, ...]] = None,
     blas_budget: int = 1,
 ) -> None:
     """Shard process entry point: rebuild one engine per broadcast
@@ -154,13 +151,6 @@ def _worker_main(
     # before any engine exists: the pool's BLAS threads must not
     # outnumber its CPUs
     blas_threads = limit_blas_threads(blas_budget)
-    if pin_cpus:
-        # Pin before warming caches so they live on the pinned core;
-        # best-effort — a shrunken cgroup mask must not kill the shard.
-        try:
-            os.sched_setaffinity(0, set(pin_cpus))
-        except (AttributeError, OSError):
-            pass
     engines: Dict[Tuple[str, int], object] = {}
     try:
         for key, (payload, factory, threshold) in models_payload.items():
@@ -392,8 +382,8 @@ class ShardedDetectionService:
         granularity requests are split at — identical splitting to
         ``DetectionEngine.run``, so results stay bit-identical).
     scheduler:
-        ``"round-robin"`` (default), ``"least-loaded"``, or a
-        :class:`ShardScheduler` instance.
+        Accepted only as ``None`` (one built-in dispatch policy:
+        per-shard credits); anything else raises ``ValueError``.
     slo_ms:
         Accepted only as ``None`` (requests are always chunked at the
         fixed ``batch_size``); anything else raises ``ValueError``.
@@ -408,13 +398,9 @@ class ShardedDetectionService:
         Accepted only as ``None`` or ``"queue"`` (the one payload
         channel); anything else raises ``ValueError``.
     pin_workers:
-        Pin each worker to a disjoint CPU set
-        (:func:`~repro.runtime.sharding.plan_worker_affinity` +
-        ``os.sched_setaffinity`` at worker startup) so the OS cannot
-        migrate shards — and their warm caches — across cores.
-        Best-effort no-op on platforms without affinity support.
-        Either way every worker lowers its OpenBLAS thread count to its
-        CPU share at startup (``len`` of its pinned set, else this
+        Accepted only as ``False`` (workers are never pinned to CPUs);
+        anything else raises ``ValueError``.  Every worker lowers its
+        OpenBLAS thread count to its CPU share at startup (this
         process's CPUs // ``num_workers``, at least 1), so the pool
         never runs more BLAS threads than it has CPUs.
     backend:
@@ -447,7 +433,7 @@ class ShardedDetectionService:
         num_workers: int = 2,
         threshold: float = 0.5,
         batch_size: int = 64,
-        scheduler: Union[str, ShardScheduler] = "round-robin",
+        scheduler: Optional[str] = None,
         slo_ms: Optional[float] = None,
         max_restarts: Optional[int] = None,
         start_method: Optional[str] = None,
@@ -466,6 +452,18 @@ class ShardedDetectionService:
             raise ValueError("hang_timeout must be positive (or None)")
         if task_timeout is not None and task_timeout <= 0:
             raise ValueError("task_timeout must be positive (or None)")
+        # perfbench/workload_http.py passes scheduler=defaults.scheduler
+        if scheduler is not None:
+            raise ValueError(
+                f"scheduler={scheduler!r} is not supported; shards take "
+                "chunks by per-shard credits"
+            )
+        # perfbench/workload_http.py passes pin_workers=defaults.pin
+        if pin_workers is not False:
+            raise ValueError(
+                f"pin_workers={pin_workers!r} is not supported; workers "
+                "are never pinned to CPUs"
+            )
         # perfbench/workload_http.py passes slo_ms=defaults.slo_ms
         if slo_ms is not None:
             raise ValueError(
@@ -517,25 +515,18 @@ class ShardedDetectionService:
         self.num_workers = num_workers
         self.threshold = threshold
         self.batch_size = batch_size
-        self.pin_workers = bool(pin_workers)
-        self._affinity_plan = (
-            plan_worker_affinity(num_workers) if self.pin_workers else None
-        )
-        # BLAS threads per unpinned worker; a pinned worker gets one per
-        # CPU of its share instead
-        self._blas_budget = cpu_share(num_workers)
+        self._blas_budget = cpu_share(num_workers)  # BLAS threads per worker
         self.hang_timeout = hang_timeout
         self.task_timeout = task_timeout
         self._core = LifecycleCore(
-            make_scheduler(scheduler), num_workers,
-            num_workers if max_restarts is None else max_restarts,
+            num_workers if max_restarts is None else max_restarts
         )
         self._ready_timeout = ready_timeout
 
         self._lock = threading.RLock()
-        # notified when a shard becomes ready, a load is acked, a task
-        # is queued, or the pool stops or fails: the dispatcher,
-        # start() and load_model() wait on it instead of polling
+        # notified when a shard becomes ready, a load is acked, a shard
+        # is reaped, or the pool stops or fails: start() and
+        # load_model() wait on it instead of polling
         self._wake = threading.Condition(self._lock)
         # Serialises start()/stop() against concurrent submit() callers
         # (reentrant: start()'s failure path calls stop()).
@@ -545,7 +536,7 @@ class ShardedDetectionService:
         self._stopped = False  # True only after an explicit stop()
         self._stop_event = threading.Event()
         self._failure: Optional[ServiceError] = None
-        self._threads: List[threading.Thread] = []
+        self._collector: Optional[threading.Thread] = None
 
     # -- lifecycle ------------------------------------------------------
     def __enter__(self) -> "ShardedDetectionService":
@@ -583,18 +574,11 @@ class ShardedDetectionService:
                     self._models[entry.key] = self._model_payload(entry)
             for _ in range(self.num_workers):
                 self._spawn_shard()
-            self._threads = [
-                threading.Thread(
-                    target=self._guarded, args=(loop, name),
-                    name=f"service-{name}", daemon=True,
-                )
-                for loop, name in (
-                    (self._collect_forever, "collector"),
-                    (self._dispatch_forever, "dispatcher"),
-                )
-            ]
-            for thread in self._threads:
-                thread.start()
+            self._collector = threading.Thread(
+                target=self._guarded, args=(self._collect_forever,),
+                name="service-collector", daemon=True,
+            )
+            self._collector.start()
             self._started = True
             shards = self._core.shards
             with self._wake:
@@ -612,29 +596,32 @@ class ShardedDetectionService:
             )
 
     def stop(self) -> None:
-        """Shut the pool down; outstanding requests fail cleanly."""
+        """Shut the pool down.  Every request accepted so far is handed
+        to the live shards first, so it still completes while one
+        survives; what cannot complete fails cleanly."""
         with self._lifecycle_lock:
             if not self._started:
                 return
             with self._wake:
-                self._stop_event.set()
-                self._apply_locked(self._core.stop())
-                workers = list(self._workers.values())
+                self._apply_locked(self._core.stop(time.monotonic()))
+                workers = dict(self._workers)
                 self._wake.notify_all()
             # each worker finishes its queued batches before it reads
-            # "stop", so in-flight requests can still complete here
-            for worker in workers:
+            # "stop", and the collector keeps reading their results
+            for worker in workers.values():
                 worker.process.join(timeout=10)
                 if worker.process.is_alive():
                     worker.process.terminate()
                     worker.process.join(timeout=5)
-            for thread in self._threads:
-                thread.join(timeout=10)
+            self._stop_event.set()
+            self._collector.join(timeout=10)
+            for shard_id, worker in workers.items():
+                self._drain_shard_results(shard_id, worker)  # the last ones
             with self._lock:
                 fx = self._apply_locked(self._core.shutdown(
                     "service stopped with the request pending"
                 ))
-                for worker in workers:
+                for worker in workers.values():
                     worker.close()
                 self._workers.clear()
             self._resolve(fx)
@@ -881,18 +868,17 @@ class ShardedDetectionService:
             future.model = entry.spec
             future.request_class = cls.name
             chunks = list(iter_microbatches(xs, self.batch_size))
-            with self._wake:
-                request = self._core.submit(
+            with self._lock:
+                request, fx = self._core.submit(
                     entry.key, cls, chunks, future, time.monotonic()
                 )
-                self._wake.notify_all()
+                self._apply_locked(fx)
             future._cancel_hook = lambda: self._cancel_request(request)
             return future
 
     def _cancel_request(self, request: Request) -> bool:
-        """Abandon a request: queued chunks are skipped by the
-        dispatcher and in-flight results are dropped as late
-        duplicates."""
+        """Abandon a request: queued chunks are never sent and in-flight
+        results are dropped as late duplicates."""
         with self._lock:
             fx = self._core.cancel(request)
             if fx is None:
@@ -918,8 +904,11 @@ class ShardedDetectionService:
     def stats(self) -> ThroughputStats:
         """Lifetime engine-side accounting merged across every shard the
         service has ever run (dead shards included)."""
+        merged = ThroughputStats()
         with self._lock:
-            return merge_shard_stats(self._core.shard_stats)
+            for _, stats in sorted(self._core.shard_stats.items()):
+                merged.merge(stats)
+        return merged
 
     def shard_stats(self) -> Dict[int, ThroughputStats]:
         """Per-shard lifetime accounting (copies, keyed by shard id)."""
@@ -1073,13 +1062,14 @@ class ShardedDetectionService:
             ))
 
     def _spawn_shard(self) -> None:
-        # Respawns run on the collector thread while the dispatcher is
-        # live, so with the default "fork" method the child may inherit
-        # other threads' lock state.  That is safe for everything this
-        # child actually touches: both of its queues are created fresh
-        # below (no one else holds their locks yet), and it never
-        # touches any other shard's queues.  Deployments that still
-        # prefer full isolation can pass ``start_method="spawn"``.
+        # Respawns run on the collector thread while callers may be
+        # submitting, so with the default "fork" method the child may
+        # inherit other threads' lock state.  That is safe for
+        # everything this child actually touches: both of its queues
+        # are created fresh below (no one else holds their locks yet),
+        # and it never touches any other shard's queues.  Deployments
+        # that still prefer full isolation can pass
+        # ``start_method="spawn"``.
         with self._lock:
             # every currently-served model (including any hot-swapped
             # since start), so replacements and late spawns can take
@@ -1087,10 +1077,6 @@ class ShardedDetectionService:
             models_payload = dict(self._models)
             shard = self._core.add_shard(
                 set(models_payload), time.monotonic()
-            )
-            pin_cpus = (
-                self._affinity_plan[shard.slot]
-                if self._affinity_plan else None
             )
             worker = _Worker(
                 task_queue=self._ctx.Queue(),
@@ -1104,8 +1090,7 @@ class ShardedDetectionService:
                 args=(
                     shard.shard_id, models_payload, self.batch_size,
                     worker.task_queue, worker.result_queue, worker.heartbeat,
-                    pin_cpus,
-                    len(pin_cpus) if pin_cpus else self._blas_budget,
+                    self._blas_budget,
                 ),
                 name=f"detection-shard-{shard.shard_id}",
                 daemon=True,
@@ -1123,22 +1108,11 @@ class ShardedDetectionService:
             self._wake.notify_all()
         self._resolve(fx)
 
-    def _guarded(self, loop: Callable[[], None], name: str) -> None:
+    def _guarded(self, loop: Callable[[], None]) -> None:
         try:
             loop()
-        except Exception as exc:  # e.g. a custom scheduler raising
-            self._abort(ServiceError(f"{name} crashed: {exc!r}"))
-
-    def _dispatch_forever(self) -> None:
-        with self._wake:
-            while not self._stop_event.is_set():
-                fx = self._core.dispatch(time.monotonic())
-                if fx is None:
-                    # nothing queued, or no ready shard (e.g. a respawn
-                    # in progress)
-                    self._wake.wait()
-                else:
-                    self._apply_locked(fx)
+        except Exception as exc:  # e.g. a bug in the core's bookkeeping
+            self._abort(ServiceError(f"collector crashed: {exc!r}"))
 
     def _collect_forever(self) -> None:
         # Drains every shard's private result queue, then blocks until
@@ -1195,16 +1169,15 @@ class ShardedDetectionService:
                     # and spawns a replacement
                     core.mark_broken(shard_id)
                     return progressed
+                now = time.monotonic()
                 if kind == "ready":
-                    core.ready(
-                        shard_id, time.monotonic(), payload["blas_threads"]
-                    )
+                    fx = core.ready(shard_id, now, payload["blas_threads"])
                 elif kind == "loaded":  # hot-swap ack (or load error)
                     core.loaded(shard_id, *payload)
                 elif kind == "batch":
-                    fx = core.finish(shard_id, payload["seq"], payload)
+                    fx = core.finish(shard_id, payload["seq"], payload, now)
                 else:  # "error": a deterministic per-batch failure
-                    fx = core.fail_seq(shard_id, *payload)
+                    fx = core.fail_seq(shard_id, *payload, now)
                 if kind in ("ready", "loaded"):
                     self._wake.notify_all()
                 self._apply_locked(fx)
@@ -1233,7 +1206,7 @@ class ShardedDetectionService:
                     elif now - worker.last_beat_at > self.hang_timeout:
                         core.mark_broken(shard_id, hung=True)
             if self.task_timeout is not None:
-                core.redeliver(now, self.task_timeout)
+                self._apply_locked(core.redeliver(now, self.task_timeout))
             dead = [
                 shard_id for shard_id, worker in self._workers.items()
                 if not core.shards[shard_id].stopping and (
@@ -1243,6 +1216,8 @@ class ShardedDetectionService:
             ]
             for shard_id in dead:
                 worker = self._workers.pop(shard_id)
+                # broken: the salvage below dispatches, never to it
+                core.mark_broken(shard_id)
                 if worker.process.is_alive():  # broken stream, live body
                     worker.process.terminate()
                     worker.process.join(timeout=5)
@@ -1250,13 +1225,15 @@ class ShardedDetectionService:
                 # only genuinely lost batches get requeued
                 self._drain_shard_results(shard_id, worker)
                 worker.close()
-                if core.reap(shard_id, now):
+                respawn, fx = core.reap(shard_id, now)
+                self._apply_locked(fx)
+                if respawn:
                     self._spawn_shard()
             if dead and not core.shards:
                 self._abort(ServiceError(
                     "all workers died and the restart budget is exhausted"
                 ))
-            # redelivered and requeued tasks may be dispatchable now
+            # a reaped or broken shard no longer holds up a load
             self._wake.notify_all()
 
 # -- measurement harness -----------------------------------------------------
@@ -1269,9 +1246,7 @@ def measure_worker_scaling(
     batch_size: int = 32,
     repeats: int = 2,
     threshold: float = 0.5,
-    scheduler: Union[str, ShardScheduler] = "round-robin",
     state: Optional[dict] = None,
-    pin_workers: bool = False,
 ) -> dict:
     """Wall-clock samples/sec of the sharded service per pool size.
 
@@ -1293,8 +1268,6 @@ def measure_worker_scaling(
             num_workers=workers,
             threshold=threshold,
             batch_size=batch_size,
-            scheduler=scheduler,
-            pin_workers=pin_workers,
         ) as service:
             service.run(traffic[: min(len(traffic), 2 * batch_size)])  # warm
             runs = [service.run(traffic) for _ in range(repeats)]

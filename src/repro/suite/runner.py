@@ -267,8 +267,6 @@ class SuiteRunner:
         self,
         spec: ScenarioSpec,
         num_workers: int = 2,
-        scheduler: str = "round-robin",
-        pin_workers: bool = False,
     ) -> str:
         """Prove the sharded service scores a cell bit-identically to a
         direct in-process engine run (``repro suite --service``).
@@ -302,8 +300,6 @@ class SuiteRunner:
             model_factory=workbench.model_factory,
             num_workers=num_workers,
             batch_size=self.config.batch_size,
-            scheduler=scheduler,
-            pin_workers=pin_workers,
         ) as service:
             served = service.run(inputs).scores
         direct_digest = scores_digest(

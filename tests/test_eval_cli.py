@@ -245,12 +245,18 @@ class TestCli:
         assert exc.value.code == 2
 
     def test_serve_keeps_slo_ms_default(self):
-        """Not a flag: perfbench's HTTP workload reads this default from
-        the serve parser and passes it to the service."""
+        """Not flags: perfbench's HTTP workload reads these five
+        defaults from the serve parser and passes them to the service,
+        which accepts only these values."""
         from repro.cli import build_parser
 
         args = build_parser().parse_args(["serve", "alexnet_imagenet"])
-        assert args.slo_ms is None
+        assert (args.backend, args.transport, args.slo_ms, args.scheduler,
+                args.pin) == (None, None, None, None, False)
+        for flag in ("--scheduler", "--pin"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["serve", "alexnet_imagenet",
+                                           flag])
 
     def test_docs_and_ci_have_cli_commands(self):
         labels = [label for label, _ in DOCUMENTED_CLI_COMMANDS]

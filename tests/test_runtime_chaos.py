@@ -54,7 +54,7 @@ def _service(detector, **kwargs):
 
 def _await_counters(service, deadline_s=30.0, **minimums):
     """Poll fault_stats() until every counter reaches its floor (fault
-    recovery is asynchronous: reap/respawn run on the dispatcher)."""
+    recovery is asynchronous: reap/respawn run on the collector)."""
     deadline = time.monotonic() + deadline_s
     while time.monotonic() < deadline:
         stats = service.fault_stats()

@@ -3,11 +3,12 @@
 :class:`~repro.runtime.lifecycle.LifecycleCore` is I/O-free, so a
 ``hypothesis`` :class:`RuleBasedStateMachine` can drive it with fake
 workers (one FIFO of messages per shard) through generated
-interleavings of submits, dispatches, results, late duplicates, worker
-errors, reaps, redeliveries, hot-swaps, cancels and stops — no
-processes, no threads.  After every step it checks the core's
-invariants against the machine's own model of what should be in
-flight.
+interleavings of submits, results, late duplicates, worker errors,
+reaps, redeliveries, hot-swaps, cancels and stops — no processes, no
+threads.  There is no dispatch rule: the core dispatches inside every
+event that queues a task or frees a credit.  After every step the
+machine checks the core's invariants against its own model of what
+should be in flight.
 
 Tier-1 runs the active hypothesis profile (the default one); the
 nightly CI job reruns this module with ``--hypothesis-profile=nightly``
@@ -28,13 +29,15 @@ from hypothesis.stateful import (
     rule,
 )
 
-from repro.runtime.lifecycle import LifecycleCore, ServiceError
+from repro.runtime.lifecycle import SHARD_CREDITS, LifecycleCore, ServiceError
 from repro.runtime.registry import REQUEST_CLASSES
-from repro.runtime.sharding import RoundRobinScheduler
 
 NAMES = ("a", "b")
 TIMEOUT = 5.0
+KEY = ("a", 1)
 STANDARD = REQUEST_CLASSES["standard"]
+#: Chunks of a 256-frame request at the served batch size of 16.
+LARGE = 16
 
 
 def _chunk(seq: int, size: int) -> dict:
@@ -42,64 +45,83 @@ def _chunk(seq: int, size: int) -> dict:
     return {"seq": seq, "size": size, "seconds": 0.001, "stages": {}}
 
 
-def _pool(slots: int = 1, restarts: int = 0, key=("a", 1)):
-    core = LifecycleCore(RoundRobinScheduler(), slots, restarts)
-    shard = core.add_shard({key}, now=0.0)
-    core.ready(shard.shard_id, now=0.0)
-    return core, shard
+def _pool(shards: int = 1, restarts: int = 0, key=KEY):
+    core = LifecycleCore(restarts)
+    pool = [core.add_shard({key}, now=0.0) for _ in range(shards)]
+    for shard in pool:
+        assert core.ready(shard.shard_id, now=0.0).sends == []
+    return core, pool
+
+
+def _batches(fx):
+    """(shard id, seq) of every batch ``fx`` sends, in order."""
+    return [(sid, m[1]) for sid, m in fx.sends if m[0] == "batch"]
+
+
+def _finish(core, sid, seq, now=1.0):
+    return core.finish(sid, seq, _chunk(seq, 1), now)
 
 
 class TestCoreEvents:
     def test_redelivered_copy_of_a_finished_seq_is_not_sent(self):
-        """Redeliver, then the original result arrives, then dispatch:
-        the queued copy belongs to a closed seq and must not reach a
-        worker (after drain-and-replace it would hit an unloaded
-        version)."""
-        core, shard = _pool()
-        request = core.submit(("a", 1), STANDARD, [[0, 0]], None, now=0.0)
-        (sid, message), = core.dispatch(now=0.0).sends
-        assert core.redeliver(now=10.0, timeout=1.0) == 1
-        fx = core.finish(sid, message[1], _chunk(message[1], 2))
-        assert fx.done == [request]
-        assert core.dispatch(now=11.0) is None
+        """Redeliver while the credits are taken, then the original
+        result arrives, then a credit frees: the queued copy belongs to
+        a closed seq and must not reach a worker (after
+        drain-and-replace it would hit an unloaded version)."""
+        core, (shard,) = _pool()
+        sid = shard.shard_id
+        first, _ = core.submit(KEY, STANDARD, [[0, 0]], None, now=0.0)
+        later = [
+            core.submit(KEY, STANDARD, [[0]], None, now=10.0)[0]
+            for _ in range(SHARD_CREDITS)
+        ]
+        # only seq 0 is overdue; its freed credit goes to the request
+        # queued before the copy
+        fx = core.redeliver(now=10.0, timeout=5.0)
+        assert core.faults["redelivered_tasks"] == 1
+        assert _batches(fx) == [(sid, later[-1].seqs[0])]
+        fx = core.finish(sid, 0, _chunk(0, 2), now=11.0)
+        assert fx.done == [first] and fx.sends == []
+        for request in later:
+            fx = _finish(core, sid, request.seqs[0], now=12.0)
+            assert fx.done == [request] and fx.sends == []
         assert shard.inflight == {} and core.open_seqs == {}
+        assert core._pending == []
+        assert core.sent_batches == 1 + SHARD_CREDITS
 
     def test_reap_requeues_only_open_seqs(self):
-        core, shard = _pool(restarts=1)
-        kept = core.submit(("a", 1), STANDARD, [[0]], None, now=0.0)
-        dropped = core.submit(("a", 1), STANDARD, [[0]], None, now=0.0)
-        core.dispatch(now=0.0)
-        core.dispatch(now=0.0)
+        core, (shard,) = _pool(restarts=1)
+        kept, _ = core.submit(KEY, STANDARD, [[0]], None, now=0.0)
+        dropped, _ = core.submit(KEY, STANDARD, [[0]], None, now=0.0)
+        assert sorted(shard.inflight) == [kept.seqs[0], dropped.seqs[0]]
         assert core.cancel(dropped).failed == [
             (dropped, "request cancelled by the caller")
         ]
         assert core.cancel(dropped) is None
-        assert core.reap(shard.shard_id, now=1.0)  # budget allows one
-        replacement = core.add_shard({("a", 1)}, now=1.0)
-        core.ready(replacement.shard_id, now=1.0)
-        (sid, message), = core.dispatch(now=1.0).sends
-        assert (sid, message[1]) == (replacement.shard_id, kept.seqs[0])
-        assert core.dispatch(now=1.0) is None
+        respawn, fx = core.reap(shard.shard_id, now=1.0)
+        assert respawn and fx.sends == []  # budget allows one; no shard yet
+        replacement = core.add_shard({KEY}, now=1.0)
+        fx = core.ready(replacement.shard_id, now=1.0)
+        assert _batches(fx) == [(replacement.shard_id, kept.seqs[0])]
+        assert core._pending == []
         assert core.fault_stats()["dead_reaps"] == 1
 
     def test_worker_error_fails_the_whole_request(self):
-        core, shard = _pool()
-        request = core.submit(("a", 1), STANDARD, [[0], [0]], None, 0.0)
-        first = core.dispatch(now=0.0).sends[0][1][1]
-        core.dispatch(now=0.0)
-        fx = core.fail_seq(shard.shard_id, first, "boom")
+        core, (shard,) = _pool()
+        request, fx = core.submit(KEY, STANDARD, [[0], [0]], None, 0.0)
+        first = _batches(fx)[0][1]
+        fx = core.fail_seq(shard.shard_id, first, "boom", now=0.0)
         assert fx.failed == [
             (request, "worker failed processing batch: boom")
         ]
         # the second chunk's late result only releases its shard
-        assert core.finish(shard.shard_id, first + 1, _chunk(first + 1, 1))\
-            .done == []
-        assert shard.inflight == {} and shard.inflight_samples == 0
+        assert _finish(core, shard.shard_id, first + 1).done == []
+        assert shard.inflight == {}
 
     def test_version_retires_only_when_drained(self):
-        core, shard = _pool(key=("a", 1))
-        request = core.submit(("a", 1), STANDARD, [[0]], None, now=0.0)
-        seq = core.dispatch(now=0.0).sends[0][1][1]
+        core, (shard,) = _pool(key=("a", 1))
+        request, fx = core.submit(("a", 1), STANDARD, [[0]], None, now=0.0)
+        (_, seq), = _batches(fx)
         assert core.load(("a", 2), ("payload",)).sends == [
             (shard.shard_id, ("load", ("a", 2), "payload"))
         ]
@@ -109,13 +131,13 @@ class TestCoreEvents:
         assert core.retire_when_drained(("a", 1)).retired == []
         with pytest.raises(ValueError, match="in-flight requests"):
             core.unload(("a", 1))
-        fx = core.finish(shard.shard_id, seq, _chunk(seq, 1))
+        fx = _finish(core, shard.shard_id, seq)
         assert fx.done == [request]
         assert fx.retired == [("a", 1)]
         assert fx.sends == [(shard.shard_id, ("unload", ("a", 1)))]
 
     def test_injection_targets_and_counts(self):
-        core, shard = _pool()
+        core, (shard,) = _pool()
         target, fx = core.inject("crash", None)
         assert fx.sends == [(shard.shard_id, ("crash",))]
         assert core.shards[target].faulted
@@ -123,10 +145,88 @@ class TestCoreEvents:
         assert fx.sends == [(target, ("slow", 0.5))]
         with pytest.raises(ServiceError, match="no shard 9"):
             core.inject("hang", 9)
-        core.stop()
+        core.stop(now=0.0)
         with pytest.raises(ServiceError, match="no live shard"):
             core.inject("hang", None)
         assert core.fault_stats()["injected_crashes"] == 1
+
+
+class TestCredits:
+    def test_chunks_go_to_the_shard_with_the_most_free_credits(self):
+        """Ties go to the lowest id, so a burst alternates over the
+        shards until every credit is taken; the rest wait in the
+        core's queue and move as credits come back."""
+        core, shards = _pool(shards=2)
+        request, fx = core.submit(
+            KEY, STANDARD, [[0]] * (2 * SHARD_CREDITS + 1), None, now=0.0
+        )
+        assert [sid for sid, _ in _batches(fx)] == [0, 1] * SHARD_CREDITS
+        assert [len(s.inflight) for s in shards] == [SHARD_CREDITS] * 2
+        fx = _finish(core, 1, _batches(fx)[1][1])
+        assert _batches(fx) == [(1, request.seqs[-1])]
+
+    def test_interactive_chunk_takes_the_next_free_credit(self):
+        """An interactive chunk queued behind batch-class chunks is the
+        next one sent when a credit frees."""
+        core, (shard,) = _pool()
+        bulk, fx = core.submit(
+            KEY, REQUEST_CLASSES["batch"], [[0]] * (SHARD_CREDITS + 3),
+            None, now=0.0,
+        )
+        assert len(fx.sends) == SHARD_CREDITS
+        urgent, fx = core.submit(
+            KEY, REQUEST_CLASSES["interactive"], [[0]], None, now=1.0
+        )
+        assert fx.sends == []
+        fx = _finish(core, shard.shard_id, bulk.seqs[0], now=3.0)
+        assert _batches(fx) == [(shard.shard_id, urgent.seqs[0])]
+        assert list(core.class_waits["interactive"]) == [2.0]
+
+    @pytest.mark.parametrize("finished", range(2 * SHARD_CREDITS))
+    def test_small_request_overtakes_a_large_requests_queued_tail(
+        self, finished
+    ):
+        """Head-of-line delay: once a 256-frame request's chunks hold
+        every credit, the next dispatch after any finish is a later
+        1-frame request's chunk, not the large request's next one."""
+        core, _ = _pool(shards=2)
+        large, fx = core.submit(KEY, STANDARD, [[0]] * LARGE, None, 0.0)
+        inflight = _batches(fx)
+        assert len(inflight) == 2 * SHARD_CREDITS
+        small, fx = core.submit(KEY, STANDARD, [[0]], None, now=0.5)
+        assert fx.sends == []
+        sid, seq = inflight[finished]
+        fx = _finish(core, sid, seq)
+        assert _batches(fx) == [(sid, small.seqs[0])]
+        # the large request's tail then resumes in order
+        fx = _finish(core, sid, small.seqs[0])
+        assert fx.done == [small]
+        assert _batches(fx) == [(sid, large.seqs[2 * SHARD_CREDITS])]
+
+    def test_stop_hands_every_queued_task_to_the_live_shards(self):
+        """stop() sends the whole queue, credits aside, before the stop
+        broadcast, so every accepted request can still complete."""
+        core, shards = _pool(shards=2)
+        waiting = core.add_shard({KEY}, now=0.0)  # never ready
+        request, _ = core.submit(
+            KEY, STANDARD, [[0]] * (2 * SHARD_CREDITS + 3), None, now=0.0
+        )
+        fx = core.stop(now=1.0)
+        handed = _batches(fx)
+        assert sorted(seq for _, seq in handed) == list(
+            request.seqs[2 * SHARD_CREDITS:]
+        )
+        assert {sid for sid, _ in handed} == {0, 1}
+        assert fx.sends[len(handed):] == [
+            (sid, ("stop",)) for sid in (0, 1, waiting.shard_id)
+        ]
+        done = []
+        for shard in shards:
+            for seq in sorted(shard.inflight):
+                fx = _finish(core, shard.shard_id, seq, now=2.0)
+                assert fx.sends == []
+                done += fx.done
+        assert done == [request] and core.open_seqs == {}
 
 
 class LifecycleMachine(RuleBasedStateMachine):
@@ -134,9 +234,7 @@ class LifecycleMachine(RuleBasedStateMachine):
 
     def __init__(self):
         super().__init__()
-        self.core = LifecycleCore(
-            RoundRobinScheduler(), num_slots=2, max_restarts=3
-        )
+        self.core = LifecycleCore(max_restarts=3)
         self.now = 0.0
         self.serving = {name: 1 for name in NAMES}
         self.models = {(name, 1) for name in NAMES}  # the service's set
@@ -155,7 +253,7 @@ class LifecycleMachine(RuleBasedStateMachine):
     # -- helpers ----------------------------------------------------------
     def _start_pool(self):
         for _ in range(2):
-            self.core.ready(self._spawn(), self.now)
+            self._apply(self.core.ready(self._spawn(), self.now))
 
     def _spawn(self):
         shard = self.core.add_shard(set(self.models), self.now)
@@ -165,6 +263,10 @@ class LifecycleMachine(RuleBasedStateMachine):
         return shard.shard_id
 
     def _apply(self, fx):
+        """Carry out an event's effects.  Whatever a shard holds in
+        flight beyond what it owes is an armed descriptor drop: the
+        batch never reached the worker, yet its shard owes it until
+        redelivery or a reap."""
         for sid, message in fx.sends:
             if message[0] == "batch":
                 seq, key = message[1], message[2]
@@ -190,6 +292,12 @@ class LifecycleMachine(RuleBasedStateMachine):
             )
             self.retired.add(key)
             self.models.discard(key)
+        for sid, shard in self.core.shards.items():
+            dropped = set(shard.inflight) - self.owed[sid]
+            # never on a shard whose injected fault will reap it
+            assert not (dropped and shard.faulted)
+            self.drops += len(dropped)
+            self.owed[sid] |= dropped
 
     def _busy(self):
         return [sid for sid, fifo in self.fifos.items() if fifo]
@@ -205,9 +313,11 @@ class LifecycleMachine(RuleBasedStateMachine):
             request = self.core.open_seqs.get(seq)
             before = request.remaining if request is not None else None
             if fail:
-                fx = self.core.fail_seq(sid, seq, "boom")
+                fx = self.core.fail_seq(sid, seq, "boom", self.now)
             else:
-                fx = self.core.finish(sid, seq, _chunk(seq, len(batch)))
+                fx = self.core.finish(
+                    sid, seq, _chunk(seq, len(batch)), self.now
+                )
                 if request is not None and request.remaining < before:
                     self.finalized[seq] += 1
             self._apply(fx)
@@ -229,25 +339,6 @@ class LifecycleMachine(RuleBasedStateMachine):
                 self.hangs += 1
             self._reap(sid)
 
-    def _dispatch(self):
-        """One core dispatch.  An empty send is an armed descriptor
-        drop: the batch never reaches the worker, yet its shard owes it
-        until redelivery or a reap."""
-        before = {
-            sid: set(shard.inflight) for sid, shard in self.core.shards.items()
-        }
-        fx = self.core.dispatch(self.now)
-        if fx is not None and not fx.sends:
-            self.drops += 1
-            for sid, shard in self.core.shards.items():
-                taken = set(shard.inflight) - before[sid]
-                # never on a shard whose injected fault will reap it
-                assert not (taken and shard.faulted)
-                self.owed[sid] |= taken
-        if fx is not None:
-            self._apply(fx)
-        return fx
-
     def _redeliver(self):
         self.now += TIMEOUT + 1.0
         healthy = [
@@ -255,19 +346,22 @@ class LifecycleMachine(RuleBasedStateMachine):
             if not (s.stopping or s.broken)
         ]
         expected = sum(len(self.owed[sid]) for sid in healthy)
-        assert self.core.redeliver(self.now, TIMEOUT) == expected
+        fx = self.core.redeliver(self.now, TIMEOUT)
         self.redelivered += expected
+        assert self.core.faults["redelivered_tasks"] == self.redelivered
         for sid in healthy:
             self.owed[sid] = set()
+        self._apply(fx)
         return expected
 
     def _reap(self, sid):
-        respawn = self.core.reap(sid, self.now)
+        respawn, fx = self.core.reap(sid, self.now)
         self.reaps += 1
         for table in (self.fifos, self.held, self.owed):
             del table[sid]
         if respawn:
             self._spawn()
+        self._apply(fx)
         if not self.core.shards:
             # the service's last-resort abort, then stop() and start()
             self._apply(self.core.abort("all workers died"))
@@ -288,6 +382,13 @@ class LifecycleMachine(RuleBasedStateMachine):
             r for r in self.requests if r not in self.outcome
         ]
 
+    def _owes_a_dropped_batch(self):
+        """A shard owes a seq whose batch message is not in its FIFO."""
+        return any(
+            owed - {m[1] for m in self.fifos[sid] if m[0] == "batch"}
+            for sid, owed in self.owed.items()
+        )
+
     # -- rules ------------------------------------------------------------
     @rule(
         name=st.sampled_from(NAMES),
@@ -296,16 +397,13 @@ class LifecycleMachine(RuleBasedStateMachine):
     )
     def submit(self, name, sizes, cls):
         key = (name, self.serving[name])
-        request = self.core.submit(
+        self.now += 0.01
+        request, fx = self.core.submit(
             key, REQUEST_CLASSES[cls], [[0] * n for n in sizes], None,
             self.now,
         )
         self.requests.append(request)
-
-    @rule()
-    def dispatch(self):
-        self.now += 0.01
-        self._dispatch()
+        self._apply(fx)
 
     @precondition(lambda self: self.core.drop_next < 2)
     @rule()
@@ -342,7 +440,7 @@ class LifecycleMachine(RuleBasedStateMachine):
             return
         sid = data.draw(st.sampled_from(senders))
         inflight = dict(self.core.shards[sid].inflight)
-        fx = self.core.finish(sid, seq, _chunk(seq, 1))
+        fx = self.core.finish(sid, seq, _chunk(seq, 1), self.now)
         assert not (fx.sends or fx.done or fx.failed or fx.retired)
         assert self.core.shards[sid].inflight == inflight
 
@@ -354,7 +452,7 @@ class LifecycleMachine(RuleBasedStateMachine):
         sid = data.draw(st.sampled_from(sorted(
             sid for sid, s in self.core.shards.items() if not s.ready
         )))
-        self.core.ready(sid, self.now)
+        self._apply(self.core.ready(sid, self.now))
 
     @precondition(lambda self: self.core.shards)
     @rule(data=st.data(), hung=st.booleans())
@@ -429,15 +527,24 @@ class LifecycleMachine(RuleBasedStateMachine):
 
     @rule(drain=st.booleans())
     def stop(self, drain):
-        """stop(): workers finish their queued batches (or not), then
-        shutdown fails what is left and the pool restarts."""
-        self._apply(self.core.stop())
+        """stop(): the queue goes to the live shards, workers finish
+        their queued batches (or not), then shutdown fails what is left
+        and the pool restarts.  With the drain, a live shard, and no
+        injected fault or drop in the way, every request accepted
+        before the stop completes."""
+        promised = drain and self.core.eligible() and not (
+            self.core.drop_next or self._owes_a_dropped_batch()
+            or any(s.faulted for s in self.core.shards.values())
+        )
+        self._apply(self.core.stop(self.now))
         while drain and self._busy():
             sid = self._busy()[0]
             if self.fifos[sid][0][0] == "stop":
                 self.fifos[sid].clear()
             else:
                 self._deliver(sid)
+        if promised:
+            assert not self._open_requests()
         self._restart()
         assert not self._open_requests()
 
@@ -448,12 +555,10 @@ class LifecycleMachine(RuleBasedStateMachine):
         for _ in range(10_000):
             for sid, shard in list(self.core.shards.items()):
                 if not shard.ready:  # respawns come up
-                    self.core.ready(sid, self.now)
-            # answers first: a redelivered copy of a seq whose original
-            # result arrives here must then be skipped by dispatch
+                    self._apply(self.core.ready(sid, self.now))
             if self._busy():
                 self._deliver(self._busy()[0])
-            elif self._dispatch() is None:
+            else:
                 if not (self._open_requests() or any(self.owed.values())):
                     break
                 # only dropped batches are left: redelivery recovers them
@@ -496,9 +601,19 @@ class LifecycleMachine(RuleBasedStateMachine):
     def inflight_matches_the_workers(self):
         for sid, shard in self.core.shards.items():
             assert set(shard.inflight) == self.owed[sid]
-            assert shard.inflight_samples == sum(
-                len(t.batch) for t in shard.inflight.values()
-            )
+
+    @invariant()
+    def credits_bound_what_is_in_flight(self):
+        for shard in self.core.shards.values():
+            if not shard.stopping:
+                assert len(shard.inflight) <= SHARD_CREDITS
+
+    @invariant()
+    def no_open_task_waits_beside_a_free_credit(self):
+        """Dispatch is work-conserving: after every event, either no
+        open task is queued or no eligible shard has a free credit."""
+        if any(t.seq in self.core.open_seqs for *_, t in self.core._pending):
+            assert all(s.credits <= 0 for s in self.core.eligible())
 
     @invariant()
     def fault_counters_match(self):
@@ -522,7 +637,7 @@ class LifecycleMachine(RuleBasedStateMachine):
         for sid, shard in self.core.shards.items():
             if self.owed[sid]:
                 continue  # inflight_matches_the_workers pins it to owed
-            assert shard.inflight == {} and shard.inflight_samples == 0
+            assert shard.inflight == {}
 
 
 TestLifecycleMachine = LifecycleMachine.TestCase

@@ -439,7 +439,7 @@ class TestEndToEnd:
 
     def test_stats_report_per_class_queue_waits(self, served_pool):
         """/v1/stats carries enqueue→dispatch wait percentiles for
-        every request class once the real dispatcher is behind it."""
+        every request class once the real service is behind it."""
         server, _, xs, _ = served_pool
         post_detect(server.url, xs[:8])
         stats = get_json(server.url, "/v1/stats")

@@ -1,15 +1,15 @@
-"""Sharded-service tests: scheduling, ordered aggregation, stats
-merging, state broadcast, and worker-crash recovery.
+"""Sharded-service tests: credit dispatch, class priority, ordered
+aggregation, stats merging, state broadcast, stop, and worker-crash
+recovery.
 
 The service's contract is that sharding is invisible: any pool size,
-any scheduler, and any number of mid-run worker deaths must produce
-decisions bit-identical to a single-process
+any dispatch order, and any number of mid-run worker deaths must
+produce decisions bit-identical to a single-process
 :class:`~repro.runtime.DetectionEngine` over the same array.
 """
 
 from __future__ import annotations
 
-import os
 import time
 
 import numpy as np
@@ -24,20 +24,14 @@ from repro.core import (
 )
 from repro.runtime import (
     DetectionEngine,
-    LeastLoadedScheduler,
-    RoundRobinScheduler,
     ServiceError,
     ServiceFuture,
     ServiceResult,
     ShardedDetectionService,
-    ShardLoad,
     ThroughputStats,
-    make_scheduler,
     measure_worker_scaling,
-    merge_shard_stats,
-    plan_worker_affinity,
 )
-from repro.runtime.lifecycle import LifecycleCore
+from repro.runtime.lifecycle import SHARD_CREDITS, LifecycleCore
 
 
 # Worker-side model factory: a picklable module-level callable shared
@@ -59,63 +53,13 @@ def engine_reference(service_detector, small_dataset):
     return xs, DetectionEngine(service_detector, batch_size=4).run(xs)
 
 
-class TestSchedulers:
-    def _loads(self, *inflight_samples):
-        return [
-            ShardLoad(shard_id=i, inflight_batches=n // 4,
-                      inflight_samples=n, dispatched_batches=0)
-            for i, n in enumerate(inflight_samples)
-        ]
-
-    def test_round_robin_rotates(self):
-        scheduler = RoundRobinScheduler()
-        loads = self._loads(0, 0, 0)
-        picks = [scheduler.choose(loads) for _ in range(6)]
-        assert picks == [0, 1, 2, 0, 1, 2]
-        scheduler.reset()
-        assert scheduler.choose(loads) == 0
-
-    def test_least_loaded_picks_minimum(self):
-        scheduler = LeastLoadedScheduler()
-        assert scheduler.choose(self._loads(8, 0, 4)) == 1
-        # ties break to the lowest shard id
-        assert scheduler.choose(self._loads(4, 4)) == 0
-
-    def test_make_scheduler(self):
-        assert isinstance(
-            make_scheduler("least-loaded"), LeastLoadedScheduler
-        )
-        instance = RoundRobinScheduler()
-        assert make_scheduler(instance) is instance
-        with pytest.raises(ValueError, match="unknown scheduler"):
-            make_scheduler("fifo")
-
-
-class TestAffinityPlanning:
-    def test_plan_partitions_disjointly(self):
-        plan = plan_worker_affinity(2, available=[0, 1, 2, 3])
-        assert plan == [(0, 2), (1, 3)]
-        assert not set(plan[0]) & set(plan[1])
-
-    def test_plan_wraps_when_workers_exceed_cpus(self):
-        plan = plan_worker_affinity(4, available=[0, 1])
-        assert plan == [(0,), (1,), (0,), (1,)]
-
-    def test_plan_validates_and_degrades(self):
-        with pytest.raises(ValueError):
-            plan_worker_affinity(0)
-        if hasattr(os, "sched_getaffinity"):
-            assert plan_worker_affinity(1) is not None
-            assert plan_worker_affinity(3, available=[]) is None
-
-
 class TestStatsMerging:
     def test_merge_adds_exactly(self):
         a = ThroughputStats()
         a.record(8, 0.5, stages={"extract": 0.3})
         b = ThroughputStats()
         b.record(4, 0.25, stages={"extract": 0.1, "classify": 0.05})
-        merged = merge_shard_stats({0: a, 1: b})
+        merged = ThroughputStats().merge(a).merge(b)
         assert merged.samples == 12
         assert merged.batches == 2
         assert merged.total_seconds == pytest.approx(0.75)
@@ -190,81 +134,47 @@ class TestShardedDetectionService:
             assert np.array_equal(
                 result.similarities, reference.similarities
             )
-            # round-robin really spread the chunks over both shards
+            # the credits really spread the chunks over both shards
             assert set(result.chunk_shards) == {0, 1}
 
-    def test_backend_argument_accepts_only_numpy(
-        self, service_detector, engine_reference
+    @pytest.mark.parametrize("argument, accepted, refused, match", [
+        pytest.param(argument, *rest, id=argument)
+        for argument, *rest in (
+            ("backend", "numpy", "tiled", "kernel backend"),
+            ("transport", "queue", "shm", "transport"),
+            ("slo_ms", None, 50.0, "slo_ms"),
+            ("scheduler", None, "round-robin", "scheduler"),
+            ("pin_workers", False, True, "pin_workers"),
+        )
+    ])
+    def test_single_value_argument(
+        self, service_detector, engine_reference, argument, accepted,
+        refused, match,
     ):
-        """``backend`` survives only as ``None``/``"numpy"``: numpy
-        serves bit-identically, any other name is refused up front."""
-        xs, reference = engine_reference
-        with ShardedDetectionService(
-            service_detector,
-            model_factory=_build_service_model,
-            num_workers=1,
-            batch_size=4,
-            backend="numpy",
-        ) as service:
-            result = service.run(xs)
-        assert np.array_equal(result.scores, reference.scores)
-        with pytest.raises(ValueError, match="kernel backend"):
-            ShardedDetectionService(
-                service_detector,
-                model_factory=_build_service_model,
-                backend="tiled",
-            )
-
-    def test_transport_argument_accepts_only_queue(
-        self, service_detector, engine_reference
-    ):
-        """``transport`` survives only as ``None``/``"queue"``: both
-        serve bit-identically over the pickle queue, any other name is
+        """Arguments kept for old callers take one value: it serves
+        bit-identically over the pickle queue, and any other value is
         refused up front."""
         xs, reference = engine_reference
-        for transport in (None, "queue"):
-            with ShardedDetectionService(
-                service_detector,
-                model_factory=_build_service_model,
-                num_workers=1,
-                batch_size=4,
-                transport=transport,
-            ) as service:
-                result = service.run(xs)
-                stats = service.transport_stats()
-            assert np.array_equal(result.scores, reference.scores)
-            assert stats["queue_batches"] == len(result.chunk_shards)
-            assert stats["shm_batches"] == 0
-        with pytest.raises(ValueError, match="transport"):
-            ShardedDetectionService(
-                service_detector,
-                model_factory=_build_service_model,
-                transport="shm",
-            )
-
-    def test_slo_ms_argument_accepts_only_none(
-        self, service_detector, engine_reference
-    ):
-        """``slo_ms`` survives only as ``None``: it serves bit-identically
-        at the fixed batch size, any value is refused up front."""
-        xs, reference = engine_reference
         with ShardedDetectionService(
             service_detector,
             model_factory=_build_service_model,
             num_workers=1,
             batch_size=4,
-            slo_ms=None,
+            **{argument: accepted},
         ) as service:
             result = service.run(xs)
+            stats = service.transport_stats()
         assert np.array_equal(result.scores, reference.scores)
         assert np.array_equal(
             result.is_adversarial, reference.is_adversarial
         )
-        with pytest.raises(ValueError, match="slo_ms"):
+        assert stats["queue_batches"] == len(result.chunk_shards)
+        assert stats["shm_batches"] == 0
+        with pytest.raises(ValueError, match=match):
             ShardedDetectionService(
                 service_detector,
                 model_factory=_build_service_model,
-                slo_ms=50.0,
+                **{argument: refused},
             )
 
     def test_stats_merge_across_shards(
@@ -290,20 +200,6 @@ class TestShardedDetectionService:
         )
         assert result.wall_seconds > 0
         assert result.samples_per_sec > 0
-
-    def test_least_loaded_scheduler_serves_everything(
-        self, service_detector, engine_reference
-    ):
-        xs, reference = engine_reference
-        with ShardedDetectionService(
-            service_detector,
-            model_factory=_build_service_model,
-            num_workers=2,
-            batch_size=4,
-            scheduler="least-loaded",
-        ) as service:
-            result = service.run(xs)
-        assert np.array_equal(result.scores, reference.scores)
 
     def test_submit_is_async_and_multi_request(
         self, service_detector, engine_reference
@@ -411,7 +307,7 @@ class TestShardedDetectionService:
             service_detector, model_factory=_build_service_model,
         )
         assert service.alive_workers == 0
-        core = LifecycleCore(make_scheduler("round-robin"), 2, 0)
+        core = LifecycleCore(max_restarts=0)
         shard = core.add_shard(set(), now=0.0)
         assert core.eligible() == []
         core.ready(shard.shard_id, now=0.1)
@@ -421,41 +317,8 @@ class TestShardedDetectionService:
         other = core.add_shard(set(), now=0.2)
         core.ready(other.shard_id, now=0.3)
         assert core.eligible() == [other]
-        core.stop()
+        core.stop(now=0.4)
         assert core.eligible() == []
-
-    def test_pinned_workers_serve_bit_identically(
-        self, service_detector, engine_reference
-    ):
-        xs, reference = engine_reference
-        with ShardedDetectionService(
-            service_detector,
-            model_factory=_build_service_model,
-            num_workers=2,
-            batch_size=4,
-            pin_workers=True,
-        ) as service:
-            result = service.run(xs)
-            assert np.array_equal(result.scores, reference.scores)
-            if plan_worker_affinity(2) is None:
-                return  # platform cannot pin; nothing more to check
-            service.inject_crash()
-            service.run(xs)
-            deadline = time.monotonic() + 30.0
-            while time.monotonic() < deadline and (
-                service.restarts < 1 or service.alive_workers < 2
-            ):
-                time.sleep(0.05)
-            assert service.alive_workers == 2
-            assert np.array_equal(service.run(xs).scores, reference.scores)
-        # a replacement must take over the dead shard's CPU share (plan
-        # slot), keeping the live shards' slots disjoint
-        core = LifecycleCore(make_scheduler("round-robin"), 2, 1)
-        first, second = (core.add_shard(set(), now=0.0) for _ in range(2))
-        assert core.reap(first.shard_id, now=1.0)
-        replacement = core.add_shard(set(), now=1.0)
-        assert replacement.slot == first.slot
-        assert sorted(s.slot for s in core.shards.values()) == [0, 1]
 
     def test_state_broadcast_shares_one_payload(
         self, service_detector, engine_reference
@@ -560,6 +423,87 @@ class TestShardedDetectionService:
             # the pool is unaffected either way
             result = service.run(xs, timeout=120)
             assert np.array_equal(result.scores, reference.scores)
+
+
+class TestCreditDispatch:
+    """Chunks wait in the service's class queue until a shard has a
+    free credit, so the queue's order acts on every dispatch."""
+
+    #: Injected seconds per batch on both shards, so the queue order,
+    #: not compute, decides who finishes first.
+    DELAY = 0.25
+
+    def _slowed(self, detector, xs):
+        service = ShardedDetectionService(
+            detector, model_factory=_build_service_model,
+            num_workers=2, batch_size=4,
+        ).start()
+        service.run(xs[:4])  # both shards warm
+        for shard_id in service.live_shards():
+            service.inject_slowdown(self.DELAY, shard_id)
+        return service
+
+    def _overtakes(self, detector, xs, reference, large_class, small_class):
+        """An 8-chunk request, then a 1-chunk one: the small one must
+        resolve first, and both bit-identically."""
+        large_xs = xs[:32]
+        with self._slowed(detector, xs) as service:
+            large = service.submit(large_xs, request_class=large_class)
+            # well inside the first batch: every chunk that can leave
+            # the queue has left it before the small request arrives
+            time.sleep(self.DELAY / 5)
+            small = service.submit(xs[:4], request_class=small_class)
+            small_result = small.result(timeout=60)
+            assert not large.done()
+            large_result = large.result(timeout=60)
+        assert len(large_result.chunk_shards) == 8 > 2 * SHARD_CREDITS
+        assert np.array_equal(small_result.scores, reference.scores[:4])
+        assert np.array_equal(
+            large_result.scores,
+            DetectionEngine(detector, batch_size=4).run(large_xs).scores,
+        )
+
+    def test_interactive_request_overtakes_queued_batch_chunks(
+        self, service_detector, engine_reference
+    ):
+        xs, reference = engine_reference
+        xs = np.concatenate([xs, xs])
+        self._overtakes(
+            service_detector, xs, reference, "batch", "interactive"
+        )
+
+    def test_small_request_overtakes_a_large_requests_queued_tail(
+        self, service_detector, engine_reference
+    ):
+        """Head-of-line delay within one class: a 1-chunk request
+        waits only for what is in flight, not for the queued tail."""
+        xs, reference = engine_reference
+        xs = np.concatenate([xs, xs])
+        self._overtakes(
+            service_detector, xs, reference, "standard", "standard"
+        )
+
+    def test_stop_completes_every_accepted_request(
+        self, service_detector, engine_reference
+    ):
+        """More chunks than the pool's credits, then stop() at once:
+        the queue goes to the live shards before the stop message, so
+        every future resolves, bit-identically."""
+        xs, reference = engine_reference
+        service = ShardedDetectionService(
+            service_detector, model_factory=_build_service_model,
+            num_workers=2, batch_size=4,
+        ).start()
+        futures = [service.submit(xs) for _ in range(3)]
+        assert 3 * len(range(0, len(xs), 4)) > 2 * 2 * SHARD_CREDITS
+        service.stop()
+        for future in futures:
+            assert future.done()
+            result = future.result(timeout=0)
+            assert np.array_equal(result.scores, reference.scores)
+            assert np.array_equal(
+                result.is_adversarial, reference.is_adversarial
+            )
 
 
 class TestServiceErrors:

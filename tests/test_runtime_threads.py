@@ -21,7 +21,6 @@ import pytest
 from conftest import build_serving_model
 from repro.runtime import DetectionEngine, ShardedDetectionService
 from repro.runtime import threads
-from repro.runtime.sharding import plan_worker_affinity
 from repro.runtime.threads import cpu_share, limit_blas_threads
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
@@ -119,19 +118,6 @@ class TestServiceBudget:
                 time.sleep(0.05)
             assert service.blas_threads() == {1: expected, 2: expected}
             service.run(traffic)
-
-    @needs_openblas
-    def test_pinned_pool_reports_its_share(self, serving_detector):
-        plan = plan_worker_affinity(2)
-        if plan is None:
-            pytest.skip("no CPU affinity support")
-        with _service(
-            serving_detector, num_workers=2, pin_workers=True
-        ) as service:
-            assert _await_blas_threads(service, 2) == {
-                slot: min(len(share), _GET())
-                for slot, share in enumerate(plan)
-            }
 
     def test_pool_serves_without_the_library(
         self, serving_detector, traffic, monkeypatch
