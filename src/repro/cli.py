@@ -386,37 +386,16 @@ def cmd_throughput(args) -> None:
     traffic = workbench.traffic(
         attack=args.attack, count=args.count, attack_rate=args.attack_rate
     )
-    if args.model:
+    if args.model or args.workers > 1:
         _throughput_models(args, workbench, detector, traffic)
         return
-    if args.workers > 1:
-        from repro.core import detector_to_state
-        from repro.runtime import measure_worker_scaling
-
-        state = detector_to_state(detector)  # serialize once, reuse
-        reports = [
-            (batch_size, measure_worker_scaling(
-                None,
-                workbench.model_factory,
-                traffic,
-                worker_counts=(args.workers,),
-                batch_size=batch_size,
-                state=state,
-            )[args.workers])
-            for batch_size in args.batch_sizes
-        ]
-        title = (
-            f"{args.variant} on {args.scenario}: sharded throughput "
-            f"({args.count} samples, {args.workers} workers, wall-clock)"
-        )
-    else:
-        reports = list(measure_throughput(
-            detector, traffic, batch_sizes=args.batch_sizes,
-        ).items())
-        title = (
-            f"{args.variant} on {args.scenario}: engine throughput "
-            f"({args.count} mixed-traffic samples)"
-        )
+    reports = list(measure_throughput(
+        detector, traffic, batch_sizes=args.batch_sizes,
+    ).items())
+    title = (
+        f"{args.variant} on {args.scenario}: engine throughput "
+        f"({args.count} mixed-traffic samples)"
+    )
     rows = [
         (
             batch_size,
@@ -435,9 +414,9 @@ def cmd_throughput(args) -> None:
 
 
 def _throughput_models(args, workbench, detector, traffic) -> None:
-    """Multi-model throughput: one shared pool per batch size, every
-    registered model measured over the same traffic (``--model`` on
-    ``throughput``)."""
+    """Sharded throughput (``--workers N`` or ``--model``): one pool per
+    batch size, the default model and every ``--model`` measured over
+    the same traffic."""
     from repro.core import detector_to_state
     from repro.eval import render_table
     from repro.runtime import ShardedDetectionService
@@ -467,7 +446,7 @@ def _throughput_models(args, workbench, detector, traffic) -> None:
                     f"{float(result.is_adversarial.mean()):.2f}",
                 ))
     print(render_table(
-        f"{args.scenario}: multi-model sharded throughput "
+        f"{args.scenario}: sharded throughput "
         f"(default={args.variant} + {len(extra)} extra, {len(traffic)} "
         f"samples, {workers} workers, wall-clock)",
         ["model", "batch", "samples/s", "reject rate"],

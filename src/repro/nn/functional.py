@@ -6,11 +6,11 @@ GEMM operands directly (see :mod:`repro.nn.layers.conv`) and folds its
 gradients back with :func:`col2im` too.  Max pooling uses neither: it
 works on strided slices of its input (see :mod:`repro.nn.layers.pool`).
 
-Activations are logical (N, C, H, W) arrays in more than one memory
-order: a conv output is a view of batch-minor (C, H, W, N) memory.
-Layers whose results depend on the memory order they reduce or
-multiply in (global pooling, flattening before a Linear layer) first
-bring their input into a fixed order with :func:`maps_contiguous`.
+Every forward GEMM (the convolution, and ``Linear`` in eval mode)
+multiplies its weight by an operand from :func:`gemm_operand`, whose
+width follows one rule, :func:`gemm_width`, so that each output column
+gets the same bytes at every batch size.  That is what lets the
+batched detection engine promise the scores of per-sample detection.
 """
 
 from __future__ import annotations
@@ -22,7 +22,9 @@ __all__ = [
     "im2col",
     "col2im",
     "conv_output_size",
-    "maps_contiguous",
+    "GEMM_COLUMN_ALIGN",
+    "gemm_width",
+    "gemm_operand",
     "softmax",
     "log_softmax",
     "one_hot",
@@ -40,17 +42,59 @@ def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
     return out
 
 
-def maps_contiguous(x: np.ndarray) -> np.ndarray:
-    """``x`` (N, C, H, W) with every H*W map contiguous in memory and N
-    and C in the input's memory order: a channel-major input, such as a
-    batch-minor (C, H, W, N) conv activation, becomes a view of (C, N,
-    H, W) memory, any other a view of (N, C, H, W) memory.  Each copies
-    only if it must.  Reductions over the maps (global pooling) and the
-    flattening of them then see one memory order per N/C order, however
-    the layer before laid out its output."""
-    if x.strides[1] > x.strides[0]:
-        return np.ascontiguousarray(x.swapaxes(0, 1)).swapaxes(0, 1)
-    return np.ascontiguousarray(x)
+#: A forward GEMM's width is zero-padded to a multiple of this.  On the
+#: OpenBLAS 0.3.31 SkylakeX build numpy ships, a product whose width is
+#: not a multiple of 16 runs its last columns through narrow tail
+#: kernels that round differently (measured over K = 18..576), so the
+#: same column got other bytes at another batch size.
+GEMM_COLUMN_ALIGN = 16
+
+#: Products with M*N*K up to this may run OpenBLAS's DGEMM small-matrix
+#: kernel; no larger product does.
+SMALL_GEMM_MAX_MNK = 1_000_000
+
+#: Up to this K the small-matrix kernel reduces K in the order of the
+#: blocked kernel that larger products run; beyond it, in another.
+SMALL_GEMM_MAX_SAME_K = 384
+
+
+def _round_up(n: int) -> int:
+    return -(-n // GEMM_COLUMN_ALIGN) * GEMM_COLUMN_ALIGN
+
+
+def gemm_width(rows: int, depth: int, n_cols: int) -> int:
+    """Padded width of a batch-invariant (rows, depth) @ (depth, n_cols)
+    product: ``n_cols`` rounded up to a multiple of GEMM_COLUMN_ALIGN
+    and, when ``depth`` > SMALL_GEMM_MAX_SAME_K, to the smallest such
+    multiple that keeps the product out of the small-matrix kernel
+    (M*N*K > SMALL_GEMM_MAX_MNK).  Every real column then has the bytes
+    it has in a wide product, whatever ``n_cols`` is.
+
+    Both bounds are measured on the OpenBLAS build above: over K in
+    {216, 288, 384, 400, 576, 864, 1152}, M in {4, 8, ..., 128} and the
+    widths 16, 32, ..., 1024, a narrow product gave other column bytes
+    than a 1024-wide one in 181 of 2688 products, every one with
+    K >= 400 and M*N*K <= 998,400.  They are a property of the BLAS
+    build, so tests/test_kernel_bit_identity.py and the model-zoo test
+    in tests/test_batch_equivalence.py check them on every machine.
+    """
+    width = _round_up(n_cols)
+    if (depth > SMALL_GEMM_MAX_SAME_K
+            and rows * depth * width <= SMALL_GEMM_MAX_MNK):
+        width = _round_up(SMALL_GEMM_MAX_MNK // (rows * depth) + 1)
+    return width
+
+
+def gemm_operand(weight: np.ndarray, n_cols: int) -> np.ndarray:
+    """The right-hand operand buffer of ``weight @ operand`` for
+    ``n_cols`` real columns: C-contiguous (depth, :func:`gemm_width`)
+    doubles whose padding columns are zero.  The caller writes the real
+    columns into ``operand[:, :n_cols]`` and keeps
+    ``(weight @ operand)[:, :n_cols]``."""
+    rows, depth = weight.shape
+    operand = np.empty((depth, gemm_width(rows, depth, n_cols)))
+    operand[:, n_cols:] = 0.0
+    return operand
 
 
 def im2col_indices(

@@ -5,7 +5,11 @@ returns a view of a contiguous batch-minor ``(C, H, W, N)`` array, and
 it reads its input fastest when the input is one too: it stages the
 input in a zero-padded ``(C, Hp, Wp, N)`` buffer and builds the GEMM
 operand from it in k*k slab copies whose rows are ``ow * N`` doubles
-long.  Only the input is cached; the backward pass rebuilds the
+long, into a buffer from :func:`~repro.nn.functional.gemm_operand`.
+Its width follows the one batch-invariant GEMM rule: a multiple of 16
+columns, and for K = C*k*k > 384 wide enough that M*N*K > 10**6, out
+of OpenBLAS's small-matrix kernel (mini_vgg's ``Conv2d(64, 64)`` on a
+2x2 map pads one sample's 4 columns to 32).  Only the input is cached; the backward pass rebuilds the
 ``(N, oh, ow)``-ordered operand from it and folds the column gradients
 back with col2im, so inference holds no operand between batches.  The
 Ptolemy introspection path recomputes the partial sums of a single
@@ -21,28 +25,10 @@ import numpy as np
 
 from numpy.lib.stride_tricks import sliding_window_view
 
-from repro.nn.functional import col2im, conv_output_size
+from repro.nn.functional import col2im, conv_output_size, gemm_operand
 from repro.nn.module import Module, Parameter
 
-__all__ = ["Conv2d", "GEMM_COLUMN_ALIGN"]
-
-#: The forward GEMM's width is zero-padded to a multiple of this.  On
-#: the OpenBLAS 0.3.31 SkylakeX build numpy ships, a product whose width
-#: is not a multiple of 16 runs its last columns through narrow tail
-#: kernels that round differently (measured over K = 18..576: widths of
-#: 1-4 mod 8 give some columns other bytes than a wide product does),
-#: so the same output column got different bytes at different batch
-#: sizes.  At a multiple of 16 every column matches the one
-#: computed in a wide product, with one exception left: products small
-#: enough for OpenBLAS's small-matrix kernel (e.g. (64, 576) @ (576, 16))
-#: reduce K in another order.  This is a property of the BLAS build, so
-#: tests/test_kernel_bit_identity.py and the model-zoo test in
-#: tests/test_batch_equivalence.py check it on every machine.
-GEMM_COLUMN_ALIGN = 16
-
-
-def _aligned(n_cols: int) -> int:
-    return -(-n_cols // GEMM_COLUMN_ALIGN) * GEMM_COLUMN_ALIGN
+__all__ = ["Conv2d"]
 
 
 class Conv2d(Module):
@@ -94,12 +80,11 @@ class Conv2d(Module):
                                  self.padding)
         n_cols = out_h * out_w * batch
         w_mat = self.weight.data.reshape(self.out_channels, -1)
-        # One (o, f) @ (f, oh*ow*N) GEMM.  Its width is zero-padded to a
-        # multiple of GEMM_COLUMN_ALIGN so that no real column lands in
-        # the narrow tail kernels OpenBLAS runs on a ragged remainder:
-        # there a column's bytes depend on the width, so on the batch
-        # size.  See GEMM_COLUMN_ALIGN for the measured rule.
-        out = (w_mat @ self._slab_operand(x, out_h, out_w))[:, :n_cols]
+        # One (o, f) @ (f, oh*ow*N) GEMM over a batch-invariant operand
+        # (see repro.nn.functional.gemm_width)
+        cols = self._slab_operand(x, gemm_operand(w_mat, n_cols), out_h,
+                                  out_w)
+        out = (w_mat @ cols)[:, :n_cols]
         if self.bias is not None:
             out += self.bias.data[:, None]
         # copies only when the width was padded
@@ -111,11 +96,11 @@ class Conv2d(Module):
         self._out_hw = (out_h, out_w)
         return out.transpose(3, 0, 1, 2)
 
-    def _slab_operand(self, x: np.ndarray, out_h: int,
+    def _slab_operand(self, x: np.ndarray, cols: np.ndarray, out_h: int,
                       out_w: int) -> np.ndarray:
-        """The (C*k*k, oh*ow*N) GEMM operand of ``x``, zero-padded to a
-        multiple of GEMM_COLUMN_ALIGN columns: one strided slab copy
-        per kernel offset out of the padded (C, Hp, Wp, N) staging
+        """Write the (C*k*k, oh*ow*N) GEMM operand of ``x`` into the
+        first columns of ``cols`` and return ``cols``: one strided slab
+        copy per kernel offset out of the padded (C, Hp, Wp, N) staging
         buffer, each row ``ow * N`` doubles long."""
         batch, channels, height, width = x.shape
         k, stride, pad = self.kernel_size, self.stride, self.padding
@@ -128,8 +113,6 @@ class Conv2d(Module):
         else:
             staging = batch_minor
         n_cols = out_h * out_w * batch
-        cols = np.empty((channels * k * k, _aligned(n_cols)))
-        cols[:, n_cols:] = 0.0
         slabs = cols[:, :n_cols].reshape(channels, k, k, out_h, out_w, batch)
         span_h, span_w = stride * (out_h - 1) + 1, stride * (out_w - 1) + 1
         for ky in range(k):
@@ -139,7 +122,7 @@ class Conv2d(Module):
                 ]
         return cols
 
-    def _gemm_operand(self, x: np.ndarray) -> np.ndarray:
+    def _weight_grad_operand(self, x: np.ndarray) -> np.ndarray:
         """The (f, N*p) operand of the weight gradient, with f = C*kh*kw
         and p = oh*ow, in one copy: a strided window view of the padded
         input, transposed to (C, kh, kw, N, oh, ow) and made
@@ -162,7 +145,7 @@ class Conv2d(Module):
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         x = self._cache["x"]
-        cols_flat = self._gemm_operand(x)
+        cols_flat = self._weight_grad_operand(x)
         batch = grad_out.shape[0]
         grad_mat = grad_out.reshape(batch, self.out_channels, -1)
         w_mat = self.weight.data.reshape(self.out_channels, -1)

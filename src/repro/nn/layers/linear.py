@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-
 import numpy as np
 
+from repro.nn.functional import gemm_operand
 from repro.nn.module import Module, Parameter
 
 __all__ = ["Linear"]
@@ -16,6 +16,14 @@ class Linear(Module):
     This is an *extraction unit*: Ptolemy decomposes each output neuron
     ``y_j`` into its partial sums ``W[j, i] * x_i`` (the bias is not a
     partial sum, matching the paper's formulation in Fig. 3).
+
+    In eval mode the product is ``W @ x.T`` over an operand from
+    :func:`~repro.nn.functional.gemm_operand`, whose width follows the
+    convolution's batch-invariant rule (a multiple of 16, and
+    M*N*K > 10**6 when K > 384): each sample's row gets the same bytes
+    at every batch size, whatever the memory order of ``x``.  Training
+    keeps the plain ``x @ W.T``; like BatchNorm, train and eval modes
+    may round differently.
     """
 
     def __init__(self, in_features: int, out_features: int, bias: bool = True,
@@ -42,17 +50,10 @@ class Linear(Module):
         if self.training:
             out = x @ self.weight.data.T
         else:
-            # einsum (not BLAS matmul) over C-contiguous rows: each row
-            # is then reduced the same way at every batch size, so
-            # batch-N and batch-1 inference forwards are bit-identical —
-            # the invariant the batched detection engine's equivalence
-            # guarantee rests on.  Over a strided input, such as the
-            # (C, N) memory a global pool leaves, einsum's reduction
-            # order depends on the batch size, hence the copy.  Training
-            # sticks with the faster BLAS path (like BatchNorm, train
-            # and eval modes are allowed different numerics).
-            out = np.einsum("nk,ok->no", np.ascontiguousarray(x),
-                            self.weight.data)
+            batch = x.shape[0]
+            operand = gemm_operand(self.weight.data, batch)
+            operand[:, :batch] = x.T
+            out = (self.weight.data @ operand)[:, :batch].T.copy()
         if self.bias is not None:
             out = out + self.bias.data
         return out

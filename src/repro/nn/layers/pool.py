@@ -19,7 +19,7 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.nn.functional import conv_output_size, im2col, maps_contiguous
+from repro.nn.functional import conv_output_size, im2col
 from repro.nn.module import Module
 
 __all__ = ["MaxPool2d", "AvgPool2d", "GlobalAvgPool2d"]
@@ -175,6 +175,18 @@ class AvgPool2d(_Pool2d):
         return np.unique(c[:, None] * height * width + iy * width + ix)
 
 
+def _maps_contiguous(x: np.ndarray) -> np.ndarray:
+    """``x`` (N, C, H, W) with every H*W map contiguous in memory and N
+    and C in the input's memory order: a channel-major input, such as a
+    batch-minor (C, H, W, N) conv activation, becomes a view of (C, N,
+    H, W) memory, any other a view of (N, C, H, W) memory, copying only
+    if it must.  A reduction over the maps then rounds the same however
+    the layer before laid out its output."""
+    if x.strides[1] > x.strides[0]:
+        return np.ascontiguousarray(x.swapaxes(0, 1)).swapaxes(0, 1)
+    return np.ascontiguousarray(x)
+
+
 class GlobalAvgPool2d(Module):
     """Average over all spatial positions: (N, C, H, W) -> (N, C)."""
 
@@ -182,7 +194,7 @@ class GlobalAvgPool2d(Module):
         self._cache = {"x_shape": x.shape}
         # each map is summed as one contiguous run; the (N, C) result
         # keeps the memory order of N and C
-        return maps_contiguous(x).mean(axis=(2, 3))
+        return _maps_contiguous(x).mean(axis=(2, 3))
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         batch, channels, height, width = self._cache["x_shape"]

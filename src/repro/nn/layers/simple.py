@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.functional import maps_contiguous
 from repro.nn.module import Module
 
 __all__ = ["ReLU", "Flatten", "Dropout", "Identity"]
@@ -43,16 +42,18 @@ class Flatten(Module):
     """Reshape (N, C, H, W) -> (N, C*H*W).
 
     Flat positions are identical before and after, so importance
-    propagation is the identity on flat indices.  The maps are made
-    contiguous first (:func:`~repro.nn.functional.maps_contiguous`), so
-    the Linear layer after sees one memory order per N/C order of its
-    input, however the layer before laid out its output: BLAS rounds a
-    C-ordered and an F-ordered operand differently.
+    propagation is the identity on flat indices.  The rows come out
+    C-ordered, whatever memory order the layer before left: a Linear
+    layer's eval forward would not care (it copies its input into its
+    own GEMM operand, :func:`~repro.nn.functional.gemm_operand`), but
+    its training product ``x @ W.T`` rounds C- and F-ordered rows
+    differently, and a batch-minor conv activation flattens to an
+    F-ordered view.
     """
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._cache = {"shape": x.shape}
-        return maps_contiguous(x).reshape(x.shape[0], -1)
+        return np.ascontiguousarray(x).reshape(x.shape[0], -1)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         return grad_out.reshape(self._cache["shape"])

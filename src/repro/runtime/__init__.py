@@ -54,7 +54,6 @@ from repro.runtime.service import (
     ServiceFuture,
     ServiceResult,
     ShardedDetectionService,
-    measure_worker_scaling,
 )
 from repro.runtime.server import DetectionHTTPServer, RetryPolicy
 from repro.runtime.stats import StageTimer, ThroughputStats
@@ -84,5 +83,4 @@ __all__ = [
     "ServiceFuture",
     "ServiceResult",
     "ShardedDetectionService",
-    "measure_worker_scaling",
 ]

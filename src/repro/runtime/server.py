@@ -661,12 +661,6 @@ class DetectionHTTPServer:
         self._thread: Optional[threading.Thread] = None
         self._started_at = time.monotonic()
 
-    @property
-    def _multi(self) -> bool:
-        """Whether the backing service speaks the multi-model surface
-        (a real :class:`ShardedDetectionService`; test stubs may not)."""
-        return hasattr(self.service, "registry")
-
     # -- lifecycle ------------------------------------------------------
     @property
     def host(self) -> str:
@@ -736,8 +730,8 @@ class DetectionHTTPServer:
     # -- endpoint logic -------------------------------------------------
     def health(self) -> tuple:
         """(payload, status_code) for ``/healthz``."""
-        alive = getattr(self.service, "alive_workers", 0)
-        failure = getattr(self.service, "failure", None)
+        alive = self.service.alive_workers
+        failure = self.service.failure
         with self._lock:
             draining = self._draining
             inflight = self._inflight
@@ -762,19 +756,8 @@ class DetectionHTTPServer:
                 name: dict(counts)
                 for name, counts in self._class_counters.items()
             }
-        # per-model engine accounting (empty for single-model stubs
-        # without the registry surface)
-        models = {}
-        if self._multi:
-            models = {
-                spec: stats.report()
-                for spec, stats in self.service.model_stats().items()
-            }
-        # per-class enqueue→dispatch wait percentiles (absent for stubs
-        # without the lifecycle core's recording)
-        wait_fn = getattr(self.service, "class_wait_stats", None)
-        class_waits = wait_fn() if callable(wait_fn) else {}
-        blas_fn = getattr(self.service, "blas_threads", None)
+        # per-class enqueue→dispatch wait percentiles
+        class_waits = self.service.class_wait_stats()
         classes = {
             name: {
                 **cls.snapshot(),
@@ -790,13 +773,14 @@ class DetectionHTTPServer:
         return {
             "service": self.service.stats().report(),
             "server": server,
-            "alive_workers": int(
-                getattr(self.service, "alive_workers", 0)
-            ),
-            "restarts": int(getattr(self.service, "restarts", 0)),
-            "blas_threads": blas_fn() if callable(blas_fn) else {},
-            "default_model": getattr(self.service, "default_model", None),
-            "models": models,
+            "alive_workers": int(self.service.alive_workers),
+            "restarts": int(self.service.restarts),
+            "blas_threads": self.service.blas_threads(),
+            "default_model": self.service.default_model,
+            "models": {
+                spec: stats.report()
+                for spec, stats in self.service.model_stats().items()
+            },
             "classes": classes,
         }
 
@@ -978,22 +962,9 @@ class DetectionHTTPServer:
             xs = self._parse_body(
                 body, handler.headers.get("Content-Type", "")
             )
-            if self._multi:
-                future = self.service.submit(
-                    xs, model=model_spec, request_class=cls.name
-                )
-            elif model_spec is not None:
-                # a stub/legacy single-model service cannot route
-                self._count("client_errors")
-                release()
-                self.send_error_json(
-                    handler, 404, "model_not_found",
-                    f"unknown model {model_spec!r}: "
-                    "this server hosts a single unnamed model",
-                )
-                return
-            else:
-                future = self.service.submit(xs)
+            future = self.service.submit(
+                xs, model=model_spec, request_class=cls.name
+            )
         except UnknownModelError as exc:
             self._count("client_errors")
             release()
@@ -1011,9 +982,7 @@ class DetectionHTTPServer:
         except TimeoutError:
             # abandon the request in the service too, or its queued
             # chunks would pile up behind every future deadline
-            cancel = getattr(future, "cancel", None)
-            if callable(cancel):
-                cancel()
+            future.cancel()
             self._count("server_errors")
             release()
             self.send_error_json(
@@ -1037,21 +1006,25 @@ class DetectionHTTPServer:
                 "similarities": result.similarities.tolist(),
                 "rejection_rate": float(result.rejection_rate),
                 "wall_ms": wall_ms,
-                "model": getattr(future, "model", None),
+                "model": future.model,
                 "class": cls.name,
             },
         )
 
     # -- model management endpoints -------------------------------------
     def handle_models_get(self, handler: _Handler) -> None:
-        if not self._multi:
-            self.send_error_json(
-                handler, 404, "not_found",
-                "this server hosts a single unnamed model "
-                "(no registry attached)",
-            )
-            return
         handler._send_json(200, self.service.models())
+
+    def _send_not_found(self, handler: _Handler, exc: Exception) -> None:
+        """404 for a model endpoint's lookup that found nothing: an
+        unknown model spec is ``model_not_found``, anything else (a
+        missing detector path) ``not_found``."""
+        self._count("client_errors")
+        code = (
+            "model_not_found" if isinstance(exc, UnknownModelError)
+            else "not_found"
+        )
+        self.send_error_json(handler, 404, code, str(exc))
 
     def handle_models_post(self, handler: _Handler) -> None:
         """Hot-swap endpoint: register a new model version and
@@ -1077,14 +1050,6 @@ class DetectionHTTPServer:
                 )
             return
         body = handler.rfile.read(length)
-        if not self._multi:
-            self._count("client_errors")
-            self.send_error_json(
-                handler, 404, "not_found",
-                "this server hosts a single unnamed model "
-                "(no registry attached)",
-            )
-            return
         try:
             payload = json.loads(body.decode("utf-8"))
             if not isinstance(payload, dict) or "name" not in payload:
@@ -1098,11 +1063,7 @@ class DetectionHTTPServer:
         name = payload["name"]
         threshold = payload.get("threshold")
         try:
-            if "from" in payload:
-                entry = self.service.load_model(
-                    name, source=payload["from"], threshold=threshold
-                )
-            elif "path" in payload:
+            if "path" in payload:
                 if self.model_loader is None:
                     self._count("client_errors")
                     self.send_error_json(
@@ -1123,20 +1084,12 @@ class DetectionHTTPServer:
                     ),
                 )
             else:
-                self._count("client_errors")
-                self.send_error_json(
-                    handler, 400, "bad_request",
-                    'body must carry "from" (an existing name[@version] '
-                    'to clone) or "path" (a saved detector directory)',
+                # without "from" the service has nothing to load: 400
+                entry = self.service.load_model(
+                    name, source=payload.get("from"), threshold=threshold
                 )
-                return
-        except UnknownModelError as exc:
-            self._count("client_errors")
-            self.send_error_json(handler, 404, "model_not_found", str(exc))
-            return
-        except FileNotFoundError as exc:
-            self._count("client_errors")
-            self.send_error_json(handler, 404, "not_found", str(exc))
+        except (LookupError, FileNotFoundError) as exc:
+            self._send_not_found(handler, exc)
             return
         except ValueError as exc:
             self._count("client_errors")
@@ -1167,14 +1120,6 @@ class DetectionHTTPServer:
         (or wait) and retry.  Idempotent once retired."""
         from repro.runtime.service import ServiceError
 
-        if not self._multi or not hasattr(self.service, "retire_model"):
-            self._count("client_errors")
-            self.send_error_json(
-                handler, 404, "not_found",
-                "this server hosts a single unnamed model "
-                "(no registry attached)",
-            )
-            return
         try:
             parse_model_spec(spec)
         except ValueError as exc:
@@ -1183,9 +1128,8 @@ class DetectionHTTPServer:
             return
         try:
             payload = self.service.retire_model(spec)
-        except UnknownModelError as exc:
-            self._count("client_errors")
-            self.send_error_json(handler, 404, "model_not_found", str(exc))
+        except LookupError as exc:
+            self._send_not_found(handler, exc)
             return
         except ValueError as exc:
             # serving version, or a drain still in progress: the state

@@ -69,7 +69,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.serialization import detector_from_state, detector_to_state
+from repro.core.serialization import detector_from_state
 from repro.runtime.batching import iter_microbatches
 from repro.runtime.lifecycle import (
     Effects,
@@ -93,7 +93,6 @@ __all__ = [
     "ServiceFuture",
     "ServiceResult",
     "ShardedDetectionService",
-    "measure_worker_scaling",
 ]
 
 #: How often an idle worker bumps its heartbeat counter (it also bumps
@@ -1235,52 +1234,3 @@ class ShardedDetectionService:
                 ))
             # a reaped or broken shard no longer holds up a load
             self._wake.notify_all()
-
-# -- measurement harness -----------------------------------------------------
-
-def measure_worker_scaling(
-    detector,
-    model_factory: Callable,
-    traffic: np.ndarray,
-    worker_counts=(1, 2, 4),
-    batch_size: int = 32,
-    repeats: int = 2,
-    threshold: float = 0.5,
-    state: Optional[dict] = None,
-) -> dict:
-    """Wall-clock samples/sec of the sharded service per pool size.
-
-    The sharded twin of :func:`repro.runtime.measure_throughput`, and
-    the harness behind the CLI ``serve``/``throughput --workers``.
-    Each pool size gets a warm-up pass plus ``repeats`` timed passes
-    with the best pass reported; the first pass's scores are attached
-    so callers can check bit-identical decisions across pool sizes
-    (and against the single-process engine).  The detector state is
-    serialised once and shared by every pool.
-    """
-    if state is None:
-        state = detector_to_state(detector)
-    results = {}
-    for workers in worker_counts:
-        with ShardedDetectionService(
-            state=state,
-            model_factory=model_factory,
-            num_workers=workers,
-            threshold=threshold,
-            batch_size=batch_size,
-        ) as service:
-            service.run(traffic[: min(len(traffic), 2 * batch_size)])  # warm
-            runs = [service.run(traffic) for _ in range(repeats)]
-        best = max(runs, key=lambda run: run.samples_per_sec)
-        results[workers] = {
-            "workers": float(workers),
-            "samples": float(best.num_samples),
-            "wall_seconds": best.wall_seconds,
-            "samples_per_sec": best.samples_per_sec,
-            "mean_batch_latency_ms": best.stats.mean_batch_latency_ms,
-            "p95_batch_latency_ms": best.stats.latency_percentile_ms(95.0),
-            "engine_seconds": best.stats.total_seconds,
-            "scores": runs[0].scores,
-            "rejection_rate": runs[0].rejection_rate,
-        }
-    return results

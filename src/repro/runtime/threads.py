@@ -17,17 +17,22 @@ from typing import Optional
 
 import numpy as np
 
-__all__ = ["cpu_share", "limit_blas_threads"]
+__all__ = ["cpu_share", "limit_blas_threads", "openblas_library"]
 
 
-def _load_openblas():
-    """(get, set) thread-count calls of numpy's bundled OpenBLAS."""
+def openblas_library() -> ctypes.CDLL:
+    """numpy's bundled OpenBLAS, the handle numpy already loaded."""
     libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)),
                         "numpy.libs")
     paths = sorted(glob.glob(os.path.join(libs, "libscipy_openblas64_*.so")))
     if not paths:
         raise OSError(f"no bundled OpenBLAS in {libs}")
-    lib = ctypes.CDLL(paths[0])  # already loaded by numpy: same handle
+    return ctypes.CDLL(paths[0])
+
+
+def _load_openblas():
+    """(get, set) thread-count calls of numpy's bundled OpenBLAS."""
+    lib = openblas_library()
     get, set_ = (lib.scipy_openblas_get_num_threads64_,
                  lib.scipy_openblas_set_num_threads64_)
     get.restype, get.argtypes = ctypes.c_int, []

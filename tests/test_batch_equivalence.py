@@ -258,43 +258,30 @@ class TestPooledGraphEquivalence:
 
 # -- model-zoo forward equivalence ------------------------------------------
 
-#: Zoo models whose batched forward still differs from the per-sample
-#: one, with the first layer that differs and why.
-_BATCH_VARIANT_MODELS = {
-    "mini_vgg": (
-        "conv9, Conv2d(64, 64) on a 2x2 map (K = 576): one sample's "
-        "16-column GEMM is small enough for OpenBLAS's small-matrix "
-        "kernel, which reduces K in another order than the blocked "
-        "kernel a batch's wider GEMM runs"
-    ),
-}
-
-
 @pytest.mark.parametrize("seed", [0, 1, 2])
-@pytest.mark.parametrize("name", [
-    pytest.param(name, marks=pytest.mark.xfail(
-        strict=True, reason=_BATCH_VARIANT_MODELS[name]))
-    if name in _BATCH_VARIANT_MODELS else name
-    for name in MODEL_BUILDERS
-])
+@pytest.mark.parametrize("name", list(MODEL_BUILDERS))
 def test_zoo_forward_is_batch_invariant(name, seed):
-    """In eval mode a batch of 5 gives every node the bytes that five
-    one-sample forwards give it."""
+    """In eval mode a batch of 5 and a batch of 40 give every node the
+    bytes that one-sample forwards give it.  At 40 samples
+    mini_inception's Conv2d(16, 4, 5) on 8x8 maps (K = 400) leaves the
+    small-matrix kernel that a few samples' product runs."""
     model = MODEL_BUILDERS[name](num_classes=6, seed=seed)
     model.train(False)
     rng = np.random.default_rng(seed + 100)
-    xs = rng.normal(size=(5, 64) if name == "mlp" else (5, 3, 16, 16))
-    model.forward(xs)
-    batched = dict(model.activations)
+    xs = rng.normal(size=(40, 64) if name == "mlp" else (40, 3, 16, 16))
     singles = []
     for i in range(len(xs)):
         model.forward(xs[i:i + 1])
         singles.append(dict(model.activations))
-    for node in model.nodes:
-        per_sample = np.concatenate([acts[node.name] for acts in singles])
-        assert batched[node.name].tobytes() == per_sample.tobytes(), (
-            f"{name} node {node.name}"
-        )
+    for batch in (5, 40):
+        model.forward(xs[:batch])
+        for node in model.nodes:
+            per_sample = np.concatenate(
+                [acts[node.name] for acts in singles[:batch]]
+            )
+            assert model.activations[node.name].tobytes() == (
+                per_sample.tobytes()
+            ), f"{name} node {node.name} at batch {batch}"
 
 
 # -- detector equivalence ----------------------------------------------------

@@ -4,7 +4,9 @@ reference copies of the straightforward implementations: a per-tree,
 per-row forest walk summed tree by tree, a fancy-indexing ``im2col``
 followed by a transpose copy, an ``np.add.at`` scatter for ``col2im``,
 max pooling by ``argmax`` over ``im2col`` windows, and average-pooling
-importance expanded one window at a time.
+importance expanded one window at a time.  The batch-invariant GEMM
+operand is checked against a wide product, and the conv and Linear
+forwards against one-sample forwards.
 
 Scores are compared with ``tobytes()``, not ``allclose``: the detector's
 decisions must not depend on which implementation computed them.
@@ -17,9 +19,14 @@ from hypothesis import strategies as st
 
 from repro.core.classifier import RandomForest
 from repro.core.serialization import forest_from_arrays, forest_to_arrays
-from repro.nn.functional import col2im, conv_output_size
-from repro.nn.layers import AvgPool2d, Conv2d, MaxPool2d
-from repro.nn.layers.conv import GEMM_COLUMN_ALIGN
+from repro.nn.functional import (
+    GEMM_COLUMN_ALIGN,
+    col2im,
+    conv_output_size,
+    gemm_operand,
+    gemm_width,
+)
+from repro.nn.layers import AvgPool2d, Conv2d, Linear, MaxPool2d
 
 # -- reference implementations ------------------------------------------------
 
@@ -317,6 +324,64 @@ def test_alexnet_conv_forward_bytes(in_ch, out_ch, size, batch):
     out = conv.forward(x)
     ref_out, _ = _conv_forward_ref(conv, x)
     assert out.tobytes() == ref_out.tobytes()
+
+
+@pytest.mark.parametrize("rows", [8, 16, 32, 64, 128])
+@pytest.mark.parametrize("depth", [216, 400, 576, 1152])
+def test_gemm_operand_columns_match_a_wide_product(depth, rows):
+    """Through gemm_operand, every real width from 1 to 64 gives each
+    column the bytes a 1024-wide product gives it: the width rule keeps
+    every product out of OpenBLAS's ragged-tail and small-matrix
+    kernels."""
+    rng = np.random.default_rng([depth, rows])
+    weight = rng.normal(size=(rows, depth))
+    columns = rng.normal(size=(depth, 1024))
+    wide = weight @ columns
+    for n_cols in range(1, 65):
+        operand = gemm_operand(weight, n_cols)
+        assert operand.shape == (depth, gemm_width(rows, depth, n_cols))
+        assert operand.shape[1] % GEMM_COLUMN_ALIGN == 0
+        assert not operand[:, n_cols:].any()
+        operand[:, :n_cols] = columns[:, :n_cols]
+        got = (weight @ operand)[:, :n_cols]
+        assert got.tobytes() == wide[:, :n_cols].tobytes(), n_cols
+
+
+@pytest.mark.parametrize("size", [1, 2])
+def test_deep_conv_on_small_maps_is_batch_invariant(size):
+    """mini_vgg's Conv2d(64, 64) on its 2x2 and 1x1 maps (K = 576): a
+    few samples' product is small enough for the small-matrix kernel
+    unless its width is padded past it, and a batch of 17 is not."""
+    rng = np.random.default_rng(size)
+    conv = Conv2d(64, 64, 3, padding=1, rng=rng)
+    conv.bias.data = rng.normal(size=64)
+    x = rng.normal(size=(17, 64, size, size))
+    singles = [conv.forward(x[i:i + 1]) for i in range(17)]
+    for batch in (*range(1, 9), 17):
+        out = conv.forward(x[:batch])
+        assert out.tobytes() == np.concatenate(singles[:batch]).tobytes()
+
+
+@pytest.mark.parametrize("in_features,out_features", [
+    (64, 48), (48, 10), (576, 48), (1152, 8),
+])
+def test_linear_eval_is_batch_and_layout_invariant(in_features,
+                                                   out_features):
+    """In eval mode each sample's row has the bytes of its own
+    one-sample forward, whether the input is C-ordered or F-ordered like
+    the (N, C) output a global pool leaves of a batch-minor activation."""
+    rng = np.random.default_rng([in_features, out_features])
+    fc = Linear(in_features, out_features, rng=rng)
+    fc.bias.data = rng.normal(size=out_features)
+    fc.train(False)
+    x = rng.normal(size=(17, in_features))
+    singles = np.concatenate([fc.forward(x[i:i + 1]) for i in range(17)])
+    for batch in (1, 2, 5, 16, 17):
+        strided = np.asfortranarray(x[:batch])
+        for rows in (x[:batch], strided):
+            assert fc.forward(rows).tobytes() == (
+                singles[:batch].tobytes()
+            )
 
 
 @pytest.mark.parametrize("kernel,stride,padding,batch", GEOMETRIES)

@@ -447,6 +447,8 @@ class _GatedResult:
 
 
 class _GatedFuture:
+    model = None
+
     def __init__(self, n: int, gate: threading.Event):
         self._n, self._gate = n, gate
 
@@ -463,17 +465,28 @@ class _GatedService:
     """Single-model stub whose requests complete only when released —
     lets the admission tests hold the in-flight gauge steady."""
 
+    default_model = None
+
     def __init__(self):
         self.alive_workers = 1
         self.restarts = 0
         self.failure = None
         self.gate = threading.Event()
 
-    def submit(self, xs):
+    def submit(self, xs, model=None, request_class="standard"):
         return _GatedFuture(len(np.asarray(xs)), self.gate)
 
     def stats(self):
         return ThroughputStats()
+
+    def model_stats(self):
+        return {}
+
+    def class_wait_stats(self):
+        return {}
+
+    def blas_threads(self):
+        return {}
 
 
 class TestClassAdmission:

@@ -54,6 +54,8 @@ class _StubResult:
 
 
 class _StubFuture:
+    model = None
+
     def __init__(self, n: int, gate: threading.Event):
         self._n = n
         self._gate = gate
@@ -63,9 +65,16 @@ class _StubFuture:
             raise TimeoutError("stub request did not complete in time")
         return _StubResult(self._n)
 
+    def cancel(self):
+        return True
+
 
 class _StubService:
-    """Service-shaped double with externally controlled completion."""
+    """Service-shaped double with externally controlled completion.  It
+    serves one unnamed model, so every model-management call finds
+    nothing."""
+
+    default_model = None
 
     def __init__(self):
         self.alive_workers = 2
@@ -76,7 +85,7 @@ class _StubService:
         self.submitted = []
         self.handler_threads = []
 
-    def submit(self, xs):
+    def submit(self, xs, model=None, request_class="standard"):
         xs = np.asarray(xs)
         if xs.ndim == 0 or len(xs) == 0:
             raise ValueError("workload is empty")
@@ -86,6 +95,24 @@ class _StubService:
 
     def stats(self):
         return ThroughputStats()
+
+    def model_stats(self):
+        return {}
+
+    def class_wait_stats(self):
+        return {}
+
+    def blas_threads(self):
+        return {}
+
+    def models(self):
+        return {"models": []}
+
+    def load_model(self, name, **kwargs):
+        raise LookupError("this stub serves one unnamed model")
+
+    def retire_model(self, spec):
+        raise LookupError("this stub serves one unnamed model")
 
 
 @pytest.fixture()
@@ -249,7 +276,7 @@ class TestProtocol:
             assert status == 200
 
     def test_delete_models_on_single_model_server_is_404(self, stub_server):
-        """The stub has no registry surface: DELETE /v1/models/<spec>
+        """The stub serves no named model: DELETE /v1/models/<spec>
         must 404 with the unified schema, not crash the handler."""
         conn = http.client.HTTPConnection(
             stub_server.host, stub_server.port, timeout=10

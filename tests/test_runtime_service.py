@@ -29,7 +29,6 @@ from repro.runtime import (
     ServiceResult,
     ShardedDetectionService,
     ThroughputStats,
-    measure_worker_scaling,
 )
 from repro.runtime.lifecycle import SHARD_CREDITS, LifecycleCore
 
@@ -335,24 +334,6 @@ class TestShardedDetectionService:
         ) as service:
             result = service.run(xs)
         assert np.array_equal(result.scores, reference.scores)
-
-    def test_measure_worker_scaling_harness(
-        self, service_detector, small_dataset
-    ):
-        traffic = small_dataset.x_test[:16]
-        results = measure_worker_scaling(
-            service_detector,
-            _build_service_model,
-            traffic,
-            worker_counts=(1, 2),
-            batch_size=4,
-            repeats=1,
-        )
-        assert set(results) == {1, 2}
-        for report in results.values():
-            assert report["samples"] == 16
-            assert report["samples_per_sec"] > 0
-        assert np.array_equal(results[1]["scores"], results[2]["scores"])
 
     def test_stop_is_idempotent_and_restartable(
         self, service_detector, small_dataset, engine_reference

@@ -10,6 +10,7 @@ bit, so served scores are checked against a single-process
 
 from __future__ import annotations
 
+import ctypes
 import os
 import subprocess
 import sys
@@ -86,6 +87,14 @@ class TestHelper:
     @needs_openblas
     def test_lowers_to_the_budget(self):
         assert _run_helper(1, OPENBLAS_NUM_THREADS="2") == "1"
+
+    @needs_openblas
+    def test_library_names_its_build(self):
+        """CI prints this string before the tests: the batch-invariance
+        tests pin a property of the build's kernel set."""
+        config = threads.openblas_library().scipy_openblas_get_config64_
+        config.restype = ctypes.c_char_p
+        assert config().decode().startswith("OpenBLAS ")
 
     def test_missing_library_warns_and_changes_nothing(self, monkeypatch):
         def missing():
